@@ -1,5 +1,7 @@
 #include "core/compete_batched.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
 
@@ -23,24 +25,10 @@ std::vector<CompeteLaneResult> compete_batched(
 
   std::vector<CompeteLaneResult> results(static_cast<std::size_t>(lanes));
   radio::Payload winner = radio::kNoPayload;
-  // Node-major knowledge planes: node v owns best[v*lanes, (v+1)*lanes),
-  // so the medium's max-fold writes each listener's lane words as one
-  // contiguous run (see KnowledgePlanes).
-  std::vector<radio::Payload> best(static_cast<std::size_t>(lanes) * n,
-                                   radio::kNoPayload);
-  const radio::KnowledgePlanes bestk =
-      radio::KnowledgePlanes::node_major(best, n);
-  // Bit l of informed[v]: v knows something in lane l (and so relays).
-  std::vector<std::uint64_t> informed(n, 0);
   for (const auto& s : sources) {
     if (s.node >= n) {
       throw std::out_of_range("compete_batched: source out of range");
     }
-    for (int l = 0; l < lanes; ++l) {
-      radio::Payload& b = bestk.at(l, s.node);
-      if (b == radio::kNoPayload || s.value > b) b = s.value;
-    }
-    informed[s.node] = lane_mask;
     if (winner == radio::kNoPayload || s.value > winner) winner = s.value;
   }
   auto finish_lane = [&](int l, bool success, std::uint64_t rounds) {
@@ -59,6 +47,53 @@ std::vector<CompeteLaneResult> compete_batched(
     return results;
   }
 
+  // Single-valued sources (every broadcast): every informed node relays
+  // the winner, so a node's knowledge in a lane is one bit — informed[v].
+  // The rounds then resolve masks-only: no knowledge planes, no max-fold,
+  // no sender recovery. Otherwise each lane keeps node-major knowledge
+  // planes (node v owns best[v*lanes, (v+1)*lanes), one contiguous run per
+  // listener for the medium's max-fold) and relays what it knows.
+  const bool single_valued =
+      std::all_of(sources.begin(), sources.end(),
+                  [&](const CompeteSource& s) { return s.value == winner; });
+  std::vector<radio::Payload> best;
+  if (!single_valued) {
+    best.assign(static_cast<std::size_t>(lanes) * n, radio::kNoPayload);
+  }
+  const radio::KnowledgePlanes bestk =
+      radio::KnowledgePlanes::node_major(best, n);
+  // The single-valued relay transmits the winner everywhere: one shared
+  // plane, which the masks-only resolve never even reads on the batch
+  // kernels.
+  const std::vector<radio::Payload> relay(single_valued ? n : 0, winner);
+  const radio::PayloadPlanes planes =
+      single_valued ? radio::PayloadPlanes(relay)
+                    : radio::PayloadPlanes::node_major(best, n);
+
+  // Bit l of informed[v]: v knows something in lane l (and so relays).
+  // Bit l of knows[v]: v knows the winner in lane l — the same words as
+  // informed when single-valued. known[l] counts the set bits per lane,
+  // so completion is a compare, not an O(n) scan.
+  std::vector<std::uint64_t> informed(n, 0);
+  std::vector<std::uint64_t> knows_winner(single_valued ? 0 : n, 0);
+  std::vector<std::uint64_t>& knows = single_valued ? informed : knows_winner;
+  std::uint32_t seeded = 0;
+  for (const auto& s : sources) {
+    if (s.value == winner && knows[s.node] == 0) {
+      knows[s.node] = lane_mask;
+      ++seeded;
+    }
+    informed[s.node] = lane_mask;
+    if (!single_valued) {
+      for (int l = 0; l < lanes; ++l) {
+        radio::Payload& b = bestk.at(l, s.node);
+        if (b == radio::kNoPayload || s.value > b) b = s.value;
+      }
+    }
+  }
+  std::array<std::uint32_t, radio::kMaxLanes> known{};
+  known.fill(seeded);
+
   std::vector<util::Rng> rngs;
   rngs.reserve(static_cast<std::size_t>(lanes));
   for (const std::uint64_t seed : seeds) rngs.emplace_back(seed);
@@ -68,24 +103,14 @@ std::vector<CompeteLaneResult> compete_batched(
           ? schedule::decay_round_length(n)
           : std::max<std::uint32_t>(1, params.cycle_depth);
 
-  auto lane_done = [&](int l) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (bestk.at(l, v) != winner) return false;
-    }
-    return true;
-  };
-
   std::uint64_t active = lane_mask;
-  for (int l = 0; l < lanes; ++l) {
-    if (lane_done(l)) {
-      finish_lane(l, true, 0);
-      active &= ~(std::uint64_t{1} << l);
-    }
+  if (seeded == n) {
+    for (int l = 0; l < lanes; ++l) finish_lane(l, true, 0);
+    active = 0;
   }
 
   std::vector<std::uint64_t> participates(n, 0);
   radio::BatchOutcome out;
-  const radio::PayloadPlanes planes = radio::PayloadPlanes::node_major(best, n);
   std::uint64_t round = 0;
   std::uint32_t since_check = 0;
   while (active != 0 && round < params.max_rounds) {
@@ -94,10 +119,25 @@ std::vector<CompeteLaneResult> compete_batched(
     // at the values a standalone run would have terminated with (the coin
     // words their streams keep yielding can no longer influence anything).
     for (NodeId v = 0; v < n; ++v) participates[v] = informed[v] & active;
-    schedule::decay_step_lanes(net, participates, planes, step, bestk, rngs,
-                               out);
+    if (single_valued) {
+      schedule::decay_step_lanes(net, participates, planes, step, rngs, out);
+    } else {
+      schedule::decay_step_lanes(net, participates, planes, step, bestk, rngs,
+                                 out);
+    }
     for (const auto& dm : out.delivered) {
-      informed[dm.node] |= dm.lanes;  // delivered lanes are active lanes
+      // Delivered lanes are active lanes. A fold may deliver a lower value,
+      // so only lanes whose best reached the winner count as knowing it.
+      std::uint64_t fresh = dm.lanes & ~knows[dm.node];
+      if (!single_valued) {
+        for (std::uint64_t scan = fresh; scan != 0; scan &= scan - 1) {
+          const int l = std::countr_zero(scan);
+          if (bestk.at(l, dm.node) != winner) fresh &= ~(std::uint64_t{1} << l);
+        }
+      }
+      informed[dm.node] |= dm.lanes;
+      knows[dm.node] |= fresh;
+      for (; fresh != 0; fresh &= fresh - 1) ++known[std::countr_zero(fresh)];
     }
     for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
       const int l = std::countr_zero(scan);
@@ -111,27 +151,28 @@ std::vector<CompeteLaneResult> compete_batched(
       since_check = 0;
       for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
         const int l = std::countr_zero(scan);
-        if (lane_done(l)) {
+        if (known[l] == n) {
           finish_lane(l, true, round);
           active &= ~(std::uint64_t{1} << l);
         }
       }
     }
   }
-  // Lanes that ran out of budget: final completion scan (a lane may have
+  // Lanes that ran out of budget: final completion test (a lane may have
   // finished between checks), mirroring the scalar cores.
   for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
     const int l = std::countr_zero(scan);
-    finish_lane(l, lane_done(l), round);
+    finish_lane(l, known[l] == n, round);
   }
 
   for (int l = 0; l < lanes; ++l) {
     CompeteLaneResult& r = results[static_cast<std::size_t>(l)];
+    r.informed = known[l];
     r.best.resize(n);
-    r.informed = 0;
     for (NodeId v = 0; v < n; ++v) {
-      r.best[v] = bestk.at(l, v);
-      if (r.best[v] == winner) ++r.informed;
+      r.best[v] = !single_valued          ? bestk.at(l, v)
+                  : (informed[v] >> l & 1) ? winner
+                                           : radio::kNoPayload;
     }
   }
   return results;

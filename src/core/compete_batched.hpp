@@ -9,10 +9,26 @@
 // every informed node relays the highest message it knows via
 // synchronized Decay, densities cycling over 2^-1 .. 2^-cycle_depth,
 // until every node knows max(S) or the round budget runs out. Each lane
-// carries its own knowledge plane (best), its own RNG stream, and its own
-// termination clock; per-lane payload planes let a node relay different
-// values in different lanes, which is what lifted the medium's old
-// lane-invariant-payload contract.
+// carries its own RNG stream and its own termination clock.
+//
+// Two routes, picked from the sources alone:
+//   * single-valued — every source carries the same value (every
+//     broadcast, sweep protocol `decay`). Every informed node relays that
+//     value, so a node's knowledge in a lane is one bit: informed. Rounds
+//     resolve masks-only (schedule::decay_step_lanes without `best`):
+//     no knowledge planes are allocated, nothing is max-folded, and the
+//     medium identifies no sender. Per round a node costs one mask word,
+//     and `best` is filled once at the end from the informed bits. Since
+//     no sender is needed, the RecoveryStrategy knob changes nothing, not
+//     even the cost.
+//   * multi-valued — each lane keeps a node-major knowledge plane (best);
+//     deliveries max-fold into it inside the medium, which recovers each
+//     delivery's sender per the RecoveryStrategy. Per-lane payload planes
+//     let a node relay different values in different lanes.
+// Both routes count, per lane, the nodes that know max(S), updated from
+// the delivered masks (the multi-valued route reads best only at delivered
+// lanes that have not reached the winner yet). Completion is tested every
+// check_interval rounds by comparing that count with n.
 //
 // Determinism contract (pinned by tests/test_protocol_lanes.cpp): lane l
 // of compete_batched(..., seeds) is byte-identical — success, rounds,
@@ -66,7 +82,8 @@ std::vector<CompeteLaneResult> compete_batched(
 /// Convenience: owns a BatchNetwork over `g` with seeds.size() lanes on
 /// the given backend (bitslice = one traversal per round for all seeds);
 /// `recovery` pins the backend's sender-recovery path (results are
-/// identical for every setting — only the cost moves).
+/// identical for every setting — only the cost moves, and only for
+/// multi-valued sources).
 std::vector<CompeteLaneResult> compete_batched(
     const graph::Graph& g, const std::vector<CompeteSource>& sources,
     const BatchedCompeteParams& params, std::span<const std::uint64_t> seeds,

@@ -33,30 +33,37 @@ std::uint64_t coin_word(util::Rng& rng, std::uint32_t step) {
   return w;
 }
 
-}  // namespace
+/// One Decay step's transmitter set: the per-node lane masks and the same
+/// set as a sparse list in increasing node order.
+struct StepDraw {
+  std::vector<std::uint64_t> coin;
+  std::vector<std::uint64_t> tx_mask;
+  std::vector<radio::ActiveTx> active;
+  /// Few enough transmitters for the sparse step_lanes_*active entries.
+  bool sparse = false;
+};
 
-std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
-                               std::span<const std::uint64_t> participates,
-                               radio::PayloadPlanes payload_of,
-                               std::uint32_t step,
-                               radio::KnowledgePlanes best,
-                               std::span<util::Rng> lane_rng,
-                               radio::BatchOutcome& out, bool with_senders) {
+/// Draws every lane's coins for `step` and builds the participants'
+/// transmitter set in thread-local scratch. Both decay_step_lanes forms
+/// call it, so the coin stream never depends on how the step resolves.
+const StepDraw& draw_step(const radio::LaneExecutor& net,
+                          std::span<const std::uint64_t> participates,
+                          std::uint32_t step, std::span<util::Rng> lane_rng) {
   const graph::NodeId n = net.node_count();
   const int lanes = static_cast<int>(lane_rng.size());
   if (lanes < 1 || lanes > net.lanes()) {
     throw std::invalid_argument(
         "decay_step_lanes: lane_rng size must be in [1, net.lanes()]");
   }
-  if (participates.size() != n || best.plane_size() != n ||
-      lanes > best.lane_capacity()) {
+  if (participates.size() != n) {
     throw std::invalid_argument("decay_step_lanes: plane size mismatch");
   }
   const std::size_t blocks = (static_cast<std::size_t>(n) + 63) / 64;
 
-  static thread_local std::vector<std::uint64_t> coin;
-  static thread_local std::vector<std::uint64_t> tx_mask;
-  static thread_local std::vector<radio::ActiveTx> active;
+  static thread_local StepDraw draw;
+  std::vector<std::uint64_t>& coin = draw.coin;
+  std::vector<std::uint64_t>& tx_mask = draw.tx_mask;
+  std::vector<radio::ActiveTx>& active = draw.active;
   coin.resize(blocks * static_cast<std::size_t>(lanes));
   tx_mask.resize(n);
   active.clear();
@@ -103,34 +110,67 @@ std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
   }
 
   // Deep Decay steps are sparse by construction (2^-step participation):
-  // when few nodes transmit, route through the sparse entry points so the
-  // frontier backend resolves the step in O(active work). The dense-mask
+  // when few nodes transmit, the step goes through the sparse entry points
+  // so the frontier backend resolves it in O(active work). The dense-mask
   // scan above already happened (the coin stream must stay a pure function
   // of the draw history), so this only moves the medium-side cost; the
   // active list is built in increasing node order and the dense adapters
   // pin outcome equality, so results are byte-identical on every backend.
-  const bool sparse =
-      static_cast<std::uint64_t>(active.size()) * 16 <= n;
+  draw.sparse = static_cast<std::uint64_t>(active.size()) * 16 <= n;
+  return draw;
+}
+
+std::uint32_t delivered_total(const radio::BatchOutcome& out, int lanes) {
+  std::uint32_t delivered = 0;
+  for (int l = 0; l < lanes; ++l) delivered += out.delivered_count[l];
+  return delivered;
+}
+
+}  // namespace
+
+std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
+                               std::span<const std::uint64_t> participates,
+                               radio::PayloadPlanes payload_of,
+                               std::uint32_t step,
+                               std::span<util::Rng> lane_rng,
+                               radio::BatchOutcome& out, bool with_senders) {
+  const StepDraw& draw = draw_step(net, participates, step, lane_rng);
+  if (draw.sparse) {
+    net.step_lanes_active(draw.active, payload_of, out, with_senders);
+  } else {
+    net.step_lanes(draw.tx_mask, payload_of, out, with_senders);
+  }
+  return delivered_total(out, static_cast<int>(lane_rng.size()));
+}
+
+std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
+                               std::span<const std::uint64_t> participates,
+                               radio::PayloadPlanes payload_of,
+                               std::uint32_t step,
+                               radio::KnowledgePlanes best,
+                               std::span<util::Rng> lane_rng,
+                               radio::BatchOutcome& out, bool with_senders) {
+  if (best.plane_size() != net.node_count() ||
+      static_cast<int>(lane_rng.size()) > best.lane_capacity()) {
+    throw std::invalid_argument("decay_step_lanes: plane size mismatch");
+  }
   if (with_senders) {
-    if (sparse) {
-      net.step_lanes_active(active, payload_of, out, /*with_senders=*/true);
-    } else {
-      net.step_lanes(tx_mask, payload_of, out, /*with_senders=*/true);
-    }
+    const std::uint32_t delivered =
+        decay_step_lanes(net, participates, payload_of, step, lane_rng, out,
+                         /*with_senders=*/true);
     for (const auto& d : out.deliveries) {
       radio::Payload& b = best.at(d.lane, d.node);
       if (b == radio::kNoPayload || d.payload > b) b = d.payload;
     }
-  } else {
-    if (sparse) {
-      net.step_lanes_max_active(active, payload_of, best, out);
-    } else {
-      net.step_lanes_max(tx_mask, payload_of, best, out);
-    }
+    return delivered;
   }
-  std::uint32_t delivered = 0;
-  for (int l = 0; l < lanes; ++l) delivered += out.delivered_count[l];
-  return delivered;
+  const StepDraw& draw = draw_step(net, participates, step, lane_rng);
+  if (draw.sparse) {
+    net.step_lanes_max_active(draw.active, payload_of, best, out);
+  } else {
+    net.step_lanes_max(draw.tx_mask, payload_of, best, out);
+  }
+  return delivered_total(out, static_cast<int>(lane_rng.size()));
 }
 
 std::uint32_t decay_round_lanes(radio::LaneExecutor& net,

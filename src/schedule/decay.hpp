@@ -10,8 +10,11 @@
 // replication (Network) or up to 64 batched Monte-Carlo lanes
 // (BatchNetwork) — `participates` becomes a per-node lane mask, payload_of
 // and best become per-lane planes, and each lane draws its Bernoulli coins
-// from its own RNG stream. The single-lane decay_step/decay_round are thin
-// wrappers, so scalar and batched executions share one code path.
+// from its own RNG stream. decay_step_lanes comes in two forms that draw
+// identical coins: a masks-only step for single-valued relays and a
+// max-fold step that updates per-lane knowledge planes. The single-lane
+// decay_step/decay_round are thin wrappers, so scalar and batched
+// executions share one code path.
 //
 // Coin scheme: Bernoulli(2^-i) is drawn as the AND of i coin words per
 // 64-node block of a lane's stream (bit v mod 64 decides node v), with
@@ -43,20 +46,32 @@ std::uint32_t decay_round_length(std::uint32_t n);
 /// Bit l of participates[v] marks v as running Decay in lane l; each
 /// participant transmits its lane's payload_of value with probability
 /// 2^-step (coins from lane_rng[l], see the coin-scheme note above).
-/// `best` is the knowledge-plane view (any KnowledgePlanes layout; the
-/// batched cores use node-major), updated with the maximum received value.
 /// `out` is caller-owned scratch holding the round's delivered masks and
 /// counters on return. lane_rng.size() selects the lane count; it must not
-/// exceed net.lanes(), and best must cover node_count nodes x that many
-/// lanes. By default deliveries fold into `best` through the executor's
-/// step_lanes_max (no per-delivery records — the fast path); pass
+/// exceed net.lanes(). This form folds nothing: it is for relays where a
+/// delivery is all a listener needs to know (every informed node relays
+/// the same value), so the medium skips sender recovery entirely. Pass
 /// with_senders = true to materialize out.deliveries (sender + payload per
-/// delivery) for consumers that need to know who delivered, at the cost of
-/// building those records. Deep steps with few transmitters route through
-/// the sparse step_lanes_(max_)active entry points, so tail rounds cost
-/// O(active work) on the frontier backend — outcomes are identical either
-/// way (the coin stream never depends on the path taken). Returns the
-/// number of deliveries summed over lanes either way.
+/// delivery) for consumers that need to know who delivered. Deep steps
+/// with few transmitters route through the sparse step_lanes_active entry
+/// point, so tail rounds cost O(active work) on the frontier backend —
+/// outcomes are identical either way (the coin stream never depends on
+/// the path taken). Returns the number of deliveries summed over lanes.
+std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
+                               std::span<const std::uint64_t> participates,
+                               radio::PayloadPlanes payload_of,
+                               std::uint32_t step,
+                               std::span<util::Rng> lane_rng,
+                               radio::BatchOutcome& out,
+                               bool with_senders = false);
+
+/// The same step, with deliveries max-folded into the knowledge planes
+/// `best` (any KnowledgePlanes layout; the batched cores use node-major),
+/// which must cover node_count nodes x lane_rng.size() lanes. Draws the
+/// same coins as the form above. By default the fold runs inside the
+/// medium through step_lanes_max(_active) with no per-delivery records;
+/// with_senders = true resolves through the senders path and folds
+/// out.deliveries afterwards.
 std::uint32_t decay_step_lanes(radio::LaneExecutor& net,
                                std::span<const std::uint64_t> participates,
                                radio::PayloadPlanes payload_of,

@@ -2,10 +2,9 @@
 
 #include "util/parse.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace radiocast::util {
@@ -154,10 +153,11 @@ std::string json_number(double v) {
   if (v == std::floor(v) && std::abs(v) < 9007199254740992.0 /* 2^53 */) {
     return std::to_string(static_cast<long long>(v));
   }
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
+  // Shortest form that parses back to the same double: 0.006, not
+  // 0.0060000000000000001.
+  char buf[32];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  return std::string(buf, end);
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
@@ -231,6 +231,12 @@ class Parser {
   explicit Parser(std::string_view text) : text_(text) {}
 
   Json parse_document() {
+    if (text_.size() > Json::kMaxBytes) {
+      throw std::invalid_argument(
+          "JSON input of " + std::to_string(text_.size()) +
+          " bytes exceeds the limit of " + std::to_string(Json::kMaxBytes) +
+          " bytes");
+    }
     Json v = parse_value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after JSON value");
@@ -271,9 +277,17 @@ class Parser {
   Json parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // The parser recurses once per open bracket: bound the depth so
+        // hostile nesting fails here instead of overflowing the stack.
+        if (++depth_ > Json::kMaxDepth) {
+          fail("nesting deeper than the limit of " +
+               std::to_string(Json::kMaxDepth) + " levels");
+        }
+        Json v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Json(parse_string());
       case 't':
@@ -430,16 +444,22 @@ class Parser {
       if (!exp_digits) fail("bad exponent");
     }
     if (!digits) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    try {
-      return Json(std::stod(token));
-    } catch (const std::exception&) {
-      fail("bad number '" + token + "'");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    // from_chars takes no leading '+' (strtod-based stod would, but it
+    // also rejects subnormals that json_number emits).
+    const std::size_t skip = token.front() == '+' ? 1 : 0;
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(token.data() + skip, token.data() + token.size(), v);
+    if (ec != std::errc() || end != token.data() + token.size()) {
+      fail("bad number '" + std::string(token) + "'");
     }
+    return Json(v);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

@@ -5,10 +5,13 @@
 // order keys were set in, so every emitted file has a stable, reviewable
 // key order and byte-identical output is a property the harness can pin in
 // tests. The parser is a strict recursive-descent JSON reader (no
-// comments, no trailing commas) sized for manifest files — not a
-// general-purpose streaming parser.
+// comments, no trailing commas) sized for manifest files and journal
+// records — not a general-purpose streaming parser. It refuses input
+// larger than Json::kMaxBytes or nested deeper than Json::kMaxDepth with
+// an error naming the limit, so hostile input cannot exhaust the stack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -20,6 +23,10 @@ namespace radiocast::util {
 class Json {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
+
+  /// parse() limits: bytes of input, and arrays/objects open at once.
+  static constexpr std::size_t kMaxBytes = std::size_t{64} << 20;
+  static constexpr std::size_t kMaxDepth = 256;
 
   Json() = default;  // null
   Json(bool b) : type_(Type::kBool), bool_(b) {}
@@ -76,7 +83,8 @@ class Json {
   std::string dump(int indent = 2) const;
 
   /// Strict parse of a complete JSON document; throws
-  /// std::invalid_argument with a byte offset on malformed input.
+  /// std::invalid_argument with a byte offset on malformed input, and
+  /// naming the limit on input beyond kMaxBytes or kMaxDepth.
   static Json parse(std::string_view text);
 
  private:
@@ -94,8 +102,9 @@ class Json {
 /// JSON-escape + quote a string (shared by Json::dump and ad-hoc writers).
 void json_append_escaped(std::string& out, std::string_view s);
 
-/// Render a double the way Json::dump does (max_digits10 round-trip
-/// precision, "null" for NaN/Inf, no decimal point for safe integers).
+/// Render a double the way Json::dump does: the shortest form that parses
+/// back to the same double, "null" for NaN/Inf, no decimal point for safe
+/// integers.
 std::string json_number(double v);
 
 /// Exact uint64 <-> Json round trip. JSON doubles only hold integers

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -61,6 +63,15 @@ void expect_lane_equal(const CompeteLaneResult& got,
   EXPECT_EQ(got.best, want.best) << "lane " << lane;
 }
 
+/// Self-consistency of one lane, independent of how the core counts:
+/// `informed` is the number of nodes whose best is the winner, and a lane
+/// succeeds exactly when that is every node.
+void expect_lane_consistent(const CompeteLaneResult& r, NodeId n, int lane) {
+  const auto knowing = std::count(r.best.begin(), r.best.end(), r.winner);
+  EXPECT_EQ(r.informed, static_cast<std::uint32_t>(knowing)) << "lane " << lane;
+  EXPECT_EQ(r.success, r.informed == n) << "lane " << lane;
+}
+
 void check_compete_differential(const Graph& g,
                                 const std::vector<CompeteSource>& sources,
                                 const BatchedCompeteParams& params, int lanes,
@@ -83,6 +94,8 @@ void check_compete_differential(const Graph& g,
       for (int l = 0; l < lanes; ++l) {
         expect_lane_equal(got[static_cast<std::size_t>(l)],
                           want[static_cast<std::size_t>(l)], l);
+        expect_lane_consistent(got[static_cast<std::size_t>(l)],
+                               g.node_count(), l);
       }
     }
   }
@@ -115,6 +128,106 @@ TEST(ProtocolLanes, TightBudgetLanesAgreeOnFailureToo) {
   BatchedCompeteParams params;
   params.max_rounds = 10;
   check_compete_differential(g, {{0, 9}}, params, 17, 3001);
+}
+
+// Single-valued sources take compete_batched's masks-only route. A second
+// source on the same node with a lower value forces the max-fold route
+// without changing the protocol: that node still relays the top value, so
+// every informed node relays it in both runs. The routes must agree lane
+// by lane on every backend and recovery strategy.
+void check_route_differential(const Graph& g,
+                              const std::vector<CompeteSource>& sources,
+                              const BatchedCompeteParams& params,
+                              std::uint64_t base_seed) {
+  std::vector<CompeteSource> forced = sources;
+  forced.push_back({sources.front().node, sources.front().value - 1});
+  for (const int lanes : {1, 9, 64}) {
+    const auto seeds = make_seeds(lanes, base_seed);
+    for (const radio::MediumKind medium :
+         {radio::MediumKind::kBitslice, radio::MediumKind::kScalar,
+          radio::MediumKind::kSharded, radio::MediumKind::kFrontier}) {
+      for (const radio::RecoveryStrategy recovery :
+           {radio::RecoveryStrategy::kAuto, radio::RecoveryStrategy::kRowScan,
+            radio::RecoveryStrategy::kIdPlanes}) {
+        SCOPED_TRACE(std::string(to_string(medium)) + "/" +
+                     std::string(to_string(recovery)) +
+                     "/lanes=" + std::to_string(lanes));
+        const auto masks =
+            core::compete_batched(g, sources, params, seeds, medium, recovery);
+        const auto fold =
+            core::compete_batched(g, forced, params, seeds, medium, recovery);
+        ASSERT_EQ(masks.size(), fold.size());
+        for (int l = 0; l < lanes; ++l) {
+          expect_lane_equal(masks[static_cast<std::size_t>(l)],
+                            fold[static_cast<std::size_t>(l)], l);
+          expect_lane_consistent(masks[static_cast<std::size_t>(l)],
+                                 g.node_count(), l);
+        }
+      }
+    }
+  }
+}
+
+TEST(ProtocolLanes, SingleValuedRouteMatchesFoldRoute) {
+  util::Rng grng(50);
+  const Graph g = graph::gnp(150, 0.06, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  check_route_differential(g, {{0, 77}}, params, 8001);
+  params.check_interval = 5;  // off-cycle cadence
+  check_route_differential(g, {{11, 300}}, params, 8002);
+}
+
+TEST(ProtocolLanes, SingleValuedRouteMatchesFoldRouteOnFailure) {
+  const Graph g = graph::path_of_cliques(12, 6);
+  BatchedCompeteParams params;
+  params.max_rounds = 10;  // far below completion: every lane fails
+  check_route_differential(g, {{0, 9}}, params, 8003);
+}
+
+TEST(ProtocolLanes, EqualValuedSourcesOnDifferentNodesTakeMasksRoute) {
+  util::Rng grng(51);
+  const Graph g = graph::gnp(120, 0.07, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 3000;
+  check_route_differential(g, {{0, 5}, {40, 5}}, params, 8004);
+
+  radio::BatchNetwork bn(g, 16);
+  const auto seeds = make_seeds(16, 8005);
+  core::compete_batched(bn, {{0, 5}, {40, 5}}, params, seeds);
+  const radio::PhaseTimers& t = bn.medium().phase_timers();
+  EXPECT_GT(t.rounds, 0u);
+  EXPECT_EQ(t.rowscan_rounds + t.idplane_rounds + t.constfold_rounds, 0u);
+}
+
+// Cost pin: a single-valued run never identifies a sender on any recovery
+// strategy, while a multi-valued run still recovers one per delivery.
+TEST(ProtocolLanes, SingleValuedRunsRecoverNoSenders) {
+  util::Rng grng(52);
+  const Graph g = graph::gnp(200, 0.05, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  const auto seeds = make_seeds(64, 8006);
+  for (const radio::RecoveryStrategy recovery :
+       {radio::RecoveryStrategy::kAuto, radio::RecoveryStrategy::kRowScan,
+        radio::RecoveryStrategy::kIdPlanes}) {
+    SCOPED_TRACE(std::string(to_string(recovery)));
+    radio::BatchNetwork single(g, 64, radio::CollisionModel::kNoDetection,
+                               radio::MediumKind::kBitslice, recovery);
+    core::compete_batched(single, {{0, 77}}, params, seeds);
+    const radio::PhaseTimers& s = single.medium().phase_timers();
+    EXPECT_GT(s.rounds, 0u);
+    EXPECT_EQ(s.rowscan_rounds, 0u);
+    EXPECT_EQ(s.idplane_rounds, 0u);
+    EXPECT_EQ(s.constfold_rounds, 0u);
+    EXPECT_EQ(s.recover_ns, 0u);
+
+    radio::BatchNetwork multi(g, 64, radio::CollisionModel::kNoDetection,
+                              radio::MediumKind::kBitslice, recovery);
+    core::compete_batched(multi, {{0, 77}, {0, 76}}, params, seeds);
+    const radio::PhaseTimers& m = multi.medium().phase_timers();
+    EXPECT_GT(m.rowscan_rounds + m.idplane_rounds, 0u);
+  }
 }
 
 TEST(ProtocolLanes, BroadcastBatchedConvenienceBroadcasts) {
