@@ -78,7 +78,8 @@ std::vector<std::string> long_headers(bool timing) {
   if (timing) {
     headers.insert(headers.end(),
                    {"wall_ms", "traverse_ms", "output_ms", "recover_ms",
-                    "gen_ms", "gen_hits", "gen_miss"});
+                    "enqueue_ms", "drain_ms", "gen_ms", "gen_hits",
+                    "gen_miss"});
   }
   return headers;
 }
@@ -116,6 +117,8 @@ void add_long_row(util::Table& table, const PointMeta& meta,
         .add(static_cast<double>(acc.phases().traverse_ns) / 1e6, 1)
         .add(static_cast<double>(acc.phases().output_ns) / 1e6, 1)
         .add(static_cast<double>(acc.phases().recover_ns) / 1e6, 1)
+        .add(static_cast<double>(acc.phases().enqueue_ns) / 1e6, 1)
+        .add(static_cast<double>(acc.phases().drain_ns) / 1e6, 1)
         .add(gen ? static_cast<double>(gen->gen_ns) / 1e6 : 0.0, 1)
         .add(gen ? gen->cache_hits : 0)
         .add(gen ? gen->cache_misses : 0);

@@ -83,8 +83,9 @@ struct PointMeta {
   int lanes = 1;
 };
 
-/// Long-format column set; `timing` appends the wall/phase columns plus
-/// the instance-generation columns (gen_ms, gen_hits, gen_miss).
+/// Long-format column set; `timing` appends the wall and medium-phase
+/// columns (traverse, output, recover, enqueue, drain) plus the
+/// instance-generation columns (gen_ms, gen_hits, gen_miss).
 std::vector<std::string> long_headers(bool timing);
 /// Renders one accumulator as a long-format row (table and CSV share it).
 /// `gen` fills the generation columns when timing is on (scenarios without

@@ -40,7 +40,7 @@ class BatchNetwork : public LaneExecutor {
   int lanes() const override { return lanes_; }
   MediumKind medium_kind() const { return kind_; }
   /// The sender-recovery knob the medium was constructed with; see
-  /// RecoveryStrategy (only the bitslice backend honours it).
+  /// RecoveryStrategy.
   RecoveryStrategy recovery_strategy() const {
     return medium_->recovery_strategy();
   }

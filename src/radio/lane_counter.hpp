@@ -1,5 +1,5 @@
-// Carry-save per-lane tallies shared by the batch backends (bitslice,
-// frontier): plane j holds bit j of every lane's count, so adding a
+// Carry-save per-lane tallies shared by the batch backends (the bitplane
+// kernel, frontier): plane j holds bit j of every lane's count, so adding a
 // 64-lane mask is a carry-save ripple (amortized ~2 word ops) instead of
 // one loop iteration per set bit.
 #pragma once
@@ -26,12 +26,13 @@ struct LaneCounter {
       mask = carry;
     }
   }
+  /// Adds each lane's count to out[lane].
   void extract(std::array<std::uint32_t, kMaxLanes>& out, int lanes) const {
     for (std::size_t j = 0; j < used; ++j) {
       const std::uint64_t w = plane[j];
       if (w == 0) continue;
       for (int l = 0; l < lanes; ++l) {
-        out[l] |= static_cast<std::uint32_t>(w >> l & 1) << j;
+        out[l] += static_cast<std::uint32_t>(w >> l & 1) << j;
       }
     }
   }

@@ -8,13 +8,14 @@
 //   scalar   — epoch-stamped reference kernel; resolve() adaptively picks a
 //              frontier (transmitter-scatter) or dense (full-array) path
 //              from the transmitter density
-//   bitslice — 64-replication-wide batch kernel: per-listener ">=1 tx" and
-//              ">=2 tx" bitplanes updated with bitwise saturating adds, so
-//              one CSR traversal resolves a round for up to 64 independent
+//   bitslice — the 64-lane bitplane kernel (radio/medium_bitslice.hpp) run
+//              inline over one slice: per-listener ">=1 tx" and ">=2 tx"
+//              bitplanes updated with bitwise saturating adds, so one CSR
+//              traversal resolves a round for up to 64 independent
 //              Monte-Carlo lanes at once
-//   sharded  — thread-pooled kernel that cuts the listener space into
-//              contiguous CSR shards (balanced by the degree prefix sum)
-//              and resolves them in parallel with a deterministic merge
+//   sharded  — the same kernel over many contiguous CSR slices (balanced by
+//              the degree prefix sum) on a work-stealing thread pool, with
+//              a deterministic slice-ordered merge
 //   frontier — event-driven propagation-queue kernel (the constraint-solver
 //              watch-list idiom): transmitters enqueue only the listeners
 //              adjacent to them, per-listener state is reset lazily by
@@ -23,13 +24,16 @@
 //              the sparse transmitter list directly
 //
 // All backends implement identical interference semantics — the
-// cross-backend differential test (tests/test_medium_backends.cpp) holds
-// them to it on random instances under both collision models. Determinism
-// guarantees: for a fixed backend and input, the outcome is always
-// byte-identical (the sharded backend's merge is ordered by shard index,
-// independent of OS scheduling). Delivery order within an outcome is
-// "first touch" order for scalar/bitslice and shard-major first-touch
-// order for sharded; consumers must not depend on it beyond determinism.
+// cross-backend differential tests (tests/test_medium_backends.cpp, and
+// the randomized tests/test_medium_differential.cpp) hold them to it
+// under both collision models. Determinism guarantees: for a fixed
+// backend and input, the outcome is always byte-identical (the sharded
+// backend's merge is ordered by slice index, independent of OS
+// scheduling). Delivery order within an outcome is backend-specific
+// (first touch for scalar and frontier; listener or first-touch order per
+// slice for bitslice and sharded, slices concatenated in order, and within
+// a listener sender by sender in row order); consumers must not depend on
+// it beyond determinism.
 #pragma once
 
 #include <algorithm>
@@ -88,31 +92,27 @@ std::string_view to_string(MediumKind kind);
 /// (message lists the legal values).
 MediumKind parse_medium_kind(std::string_view name);
 
-/// How a backend that defers sender identification (the bitslice batch
-/// kernel) recovers, for each delivered (listener, lane), WHO transmitted:
+/// How the batch backends identify, for each delivered (listener, lane),
+/// WHO transmitted:
 ///
-///   kRowScan  — re-walk each winning listener's CSR row against the
+///   kRowScan  — always re-walk each winning listener's CSR row against the
 ///               transmit masks until every won lane names its sender
-///               (output-sized, but random reads over the whole adjacency
-///               when most listeners win somewhere)
-///   kIdPlanes — accumulate ceil(log2 n) sender-id XOR planes per touched
-///               listener during the traversal itself; on a won lane the
-///               XOR of the transmitted ids IS the unique sender's id, so
-///               recovery reads it back in O(idbits) with no second CSR pass
-///   kAuto     — predict the cheaper one per round: id planes cost
-///               ~idbits x traversal volume, the row scan ~the delivered
-///               row volume of the previous sender-recovering round
+///   kAuto     — the same row scan, except that a max-fold over a
+///               lane-invariant plane in which every transmitter carries
+///               one value folds that value with no sender identification
+///               (the const-fold shortcut)
 ///
-/// Results are identical under every strategy (and on backends that
-/// identify senders inline and ignore the knob entirely); only the cost
-/// moves. Pinned by the recovery differential tests.
-enum class RecoveryStrategy : std::uint8_t { kAuto, kRowScan, kIdPlanes };
+/// Bitslice, sharded and frontier honour the knob only through that
+/// const-fold gate; kRowScan is the reference the shortcut is tested
+/// against. Results are identical under both strategies on every backend;
+/// only the cost moves. Pinned by the recovery differential tests.
+enum class RecoveryStrategy : std::uint8_t { kAuto, kRowScan };
 
 /// Canonical strategy names, indexed by RecoveryStrategy — the single
 /// source of truth for to_string, parse_recovery_strategy, and the
 /// --recovery= flag validation.
-inline constexpr std::array<std::string_view, 3> kRecoveryNames{
-    "auto", "rowscan", "idplanes"};
+inline constexpr std::array<std::string_view, 2> kRecoveryNames{"auto",
+                                                                "rowscan"};
 
 std::string_view to_string(RecoveryStrategy strategy);
 /// Parses a kRecoveryNames entry; throws std::invalid_argument otherwise
@@ -123,11 +123,16 @@ RecoveryStrategy parse_recovery_strategy(std::string_view name);
 /// the batch kernel's phases so "where does a round go" is measured, not
 /// asserted. Backends attribute what they can cleanly separate (fused
 /// phases count toward the phase they are fused into) and leave the rest
-/// zero; the rowscan/idplane round counters say which recovery path ran.
+/// zero; the rowscan/constfold round counters say which recovery path ran.
+/// Every slot is wall time on the calling thread: a backend that runs a
+/// phase on a pool times it once, never as a sum over workers.
 struct PhaseTimers {
   std::uint64_t traverse_ns = 0;  // plane accumulation / kernel traversal
   std::uint64_t output_ns = 0;    // output scan: masks, tallies, re-zeroing
-  std::uint64_t recover_ns = 0;   // sender recovery (row scan or id planes)
+  /// Sender recovery run as a separate pass (frontier). The bitplane
+  /// kernel (bitslice, sharded) recovers at emission, so there it counts
+  /// toward traverse_ns (gather rounds) or output_ns (scatter rounds).
+  std::uint64_t recover_ns = 0;
   /// Event-driven phases (the frontier backend): transmitter-scatter wake
   /// pass and woken-queue drain. Frontier rounds report these instead of
   /// traverse_ns/output_ns — the backend never runs a full-array pass.
@@ -139,7 +144,9 @@ struct PhaseTimers {
   std::uint64_t active_listeners = 0;
   std::uint64_t rounds = 0;       // resolve calls accumulated
   std::uint64_t rowscan_rounds = 0;   // rounds recovered by row scan
-  std::uint64_t idplane_rounds = 0;   // rounds recovered from id planes
+  /// Always 0: sender-id XOR planes were retired. Kept because the sweep
+  /// journal (v2) and report (v3) schemas carry the field.
+  std::uint64_t idplane_rounds = 0;
   /// Rounds where the max-fold proved every transmitter carried one
   /// payload value, so deliveries folded with no sender identification.
   std::uint64_t constfold_rounds = 0;
@@ -403,9 +410,9 @@ class Medium {
   const graph::Graph& topology() const { return *graph_; }
   CollisionModel collision_model() const { return model_; }
 
-  /// Sender-recovery strategy knob (see RecoveryStrategy). Only honoured
-  /// by backends that defer sender identification (bitslice); the others
-  /// identify senders inline and produce identical results regardless.
+  /// Sender-recovery strategy knob (see RecoveryStrategy). Honoured only
+  /// through the batch backends' const-fold gate; results are identical
+  /// regardless.
   RecoveryStrategy recovery_strategy() const { return recovery_; }
   void set_recovery_strategy(RecoveryStrategy strategy) {
     recovery_ = strategy;
@@ -433,7 +440,7 @@ class Medium {
   /// `with_senders` opts into the per-delivery sender/payload detail
   /// (out.deliveries); the aggregate delivered masks and all counters are
   /// produced either way. The default implementation decomposes into
-  /// per-lane resolve() calls; the bitslice backend overrides it with the
+  /// per-lane resolve() calls; bitslice and sharded override it with the
   /// one-traversal bitplane kernel.
   virtual void resolve_batch(std::span<const std::uint64_t> tx_mask,
                              PayloadPlanes payload, int lanes,
@@ -500,7 +507,7 @@ class Medium {
 
 /// Factory. `threads` only matters for kSharded: the shard/worker count,
 /// 0 meaning a hardware-derived default. `recovery` seeds the
-/// sender-recovery knob (only the bitslice backend honours it).
+/// sender-recovery knob (see RecoveryStrategy).
 std::unique_ptr<Medium> make_medium(
     MediumKind kind, const graph::Graph& g, CollisionModel model,
     int threads = 0, RecoveryStrategy recovery = RecoveryStrategy::kAuto);

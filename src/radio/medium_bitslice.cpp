@@ -3,387 +3,232 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "radio/simd.hpp"
 
 namespace radiocast::radio {
 
-namespace {
-
-// kAuto's scatter cost model: accumulating id planes costs ~idbits
-// streaming word-XORs per traversed edge (the per-transmitter spread is
-// hoisted out of the row loop, so the compiler vectorizes the rest), while
-// the deferred row scan costs ~1 random adjacency + transmit-mask read per
-// entry of every delivered listener's row. The factor calibrates that
-// exchange rate (random reads are worth a few streaming XORs each).
-constexpr std::uint64_t kRowScanCostFactor = 4;
-
-// Id extraction switches from per-lane bit gathering (O(idbits) per won
-// lane) to one 64x64 transpose per listener (fixed ~400 word-ops serving
-// all 64 lanes at once) when a listener won at least this many lanes.
-constexpr int kTransposeLanes = 12;
-
-}  // namespace
-
-BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model)
-    : Medium(g, model) {
+BitplaneMedium::BitplaneMedium(const graph::Graph& g, CollisionModel model,
+                               const char* round_histogram)
+    : Medium(g, model),
+      round_ns_(obs::Metrics::global().histogram(round_histogram)) {
   const auto n = g.node_count();
-  idbits_ = n > 1 ? static_cast<std::uint32_t>(std::bit_width(
-                        static_cast<std::uint32_t>(n - 1)))
-                  : 1u;
-  planes_.assign(static_cast<std::size_t>(n) * stride_, 0);
-  touched_.reserve(n);
-  mask1_.assign(n, 0);
-  payload1_.assign(n, kNoPayload);
-  // Seed the row-scan estimate with the full adjacency: the first batches
-  // of a protocol are typically dense enough that a row scan would walk
-  // most rows, and the estimate self-corrects from round one onward.
-  scan_cost_estimate_ = 2 * g.edge_count();
+  planes_.assign(static_cast<std::size_t>(n) * 2, 0);
 }
 
-BitsliceMedium::Recover BitsliceMedium::choose_recovery(std::uint64_t work,
-                                                        bool gather) const {
-  switch (recovery_) {
-    case RecoveryStrategy::kRowScan:
-      return Recover::kScanDeferred;
-    case RecoveryStrategy::kIdPlanes:
-      return gather ? Recover::kIdsFused : Recover::kIdsDeferred;
-    case RecoveryStrategy::kAuto:
-      break;
-  }
-  if (gather) {
-    // The fused re-walk touches only winning listeners' rows, against
-    // transmit-mask words read one loop iteration earlier — it is never
-    // beaten by accumulating id planes on every traversed edge.
-    return Recover::kScanFused;
-  }
-  const std::uint64_t id_cost = work * (idbits_ / 4 + 1);
-  return id_cost <= kRowScanCostFactor * scan_cost_estimate_
-             ? Recover::kIdsDeferred
-             : Recover::kScanDeferred;
-}
-
-void BitsliceMedium::ensure_id_capacity() {
-  const std::size_t full = 2 + idbits_;
-  if (stride_ == full) return;
-  stride_ = full;
-  planes_.assign(static_cast<std::size_t>(graph_->node_count()) * stride_, 0);
-}
-
-template <bool kWithIds, bool kDense>
-void BitsliceMedium::scatter_accumulate(
-    std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask) {
-  std::uint64_t* const base = planes_.data();
-  const std::size_t stride = stride_;
-  const std::uint32_t idbits = idbits_;
-  for (const graph::NodeId u : txlist_) {
-    const std::uint64_t m = tx_mask[u] & lane_mask;
-    // The id spread is loop-invariant across u's whole row: word b is m
-    // where bit b of u is set, 0 otherwise. Hoisting it turns the
-    // per-edge id update into a streaming XOR the compiler vectorizes.
-    std::uint64_t spread[34];
-    if constexpr (kWithIds) {
-      for (std::uint32_t b = 0; b < idbits; ++b) {
-        spread[b] = (-(static_cast<std::uint64_t>(u) >> b & 1)) & m;
-      }
-    }
-    for (const graph::NodeId v : graph_->neighbors(u)) {
-      std::uint64_t* const blk = base + static_cast<std::size_t>(v) * stride;
-      if constexpr (!kDense) {
-        if (blk[0] == 0) touched_.push_back(v);
-      }
-      blk[1] |= blk[0] & m;
-      blk[0] |= m;
-      if constexpr (kWithIds) {
-        for (std::uint32_t b = 0; b < idbits; ++b) blk[2 + b] ^= spread[b];
-      }
-    }
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::rowscan_recover(std::span<const std::uint64_t> tx_mask,
-                                     const BatchOutcome& out,
-                                     Sink&& sink) const {
-  // Scan each winning listener's row, clearing won lanes as their unique
-  // senders are found, so every row is visited at most once and only for
-  // listeners that actually won a lane.
-  for (const auto& dm : out.delivered) {
-    std::uint64_t win = dm.lanes;
-    for (const graph::NodeId u : graph_->neighbors(dm.node)) {
-      const std::uint64_t hit = win & tx_mask[u];
-      if (hit == 0) continue;
-      win &= ~hit;
-      sink(dm.node, u, hit);
-      if (win == 0) break;
-    }
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::extract_ids(graph::NodeId v, std::uint64_t win,
-                                 const std::uint64_t* id, Sink&& sink) const {
-  const std::uint64_t idmask =
-      idbits_ >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << idbits_) - 1;
-  if (std::popcount(win) >= kTransposeLanes) {
-    // Win-dense listener: one transpose yields every lane's sender id.
-    // Store plane b into row 63-b and read lane l from row 63-l — the
-    // anti-diagonal kernel then lands bit b of lane l's id at bit b.
-    std::array<std::uint64_t, 64> w{};
-    for (std::uint32_t b = 0; b < idbits_; ++b) w[63 - b] = id[b];
-    simd::transpose64(w);
+void BitplaneMedium::recover(graph::NodeId v, std::uint64_t win,
+                             graph::NodeId last, BatchOutcome& out) const {
+  // Max-folds one (listener, sender) group: prow is the sender's lane run
+  // (stride pls; 0 for a lane-invariant or constant payload).
+  auto fold = [&](const Payload* prow, std::size_t pls, std::uint64_t hit) {
+    Payload* const brow = best_.row(v);
+    const std::size_t bls = best_.lane_stride();
     do {
-      const int lane = std::countr_zero(win);
-      sink(v,
-           static_cast<graph::NodeId>(
-               w[static_cast<std::size_t>(63 - lane)] & idmask),
-           std::uint64_t{1} << lane);
-      win &= win - 1;
-    } while (win != 0);
-  } else {
-    do {
-      const int lane = std::countr_zero(win);
-      sink(v,
-           static_cast<graph::NodeId>(simd::extract_id(id, idbits_, lane)),
-           std::uint64_t{1} << lane);
-      win &= win - 1;
-    } while (win != 0);
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::idplane_recover(const BatchOutcome& out, Sink&& sink) {
-  for (const auto& dm : out.delivered) {
-    std::uint64_t* const id =
-        planes_.data() + static_cast<std::size_t>(dm.node) * stride_ + 2;
-    extract_ids(dm.node, dm.lanes, id, sink);
-    // Consume-and-clear restores the between-round all-zero invariant for
-    // the id words the output sweep left live for us.
-    std::fill_n(id, idbits_, 0);
-  }
-}
-
-template <class Sink>
-void BitsliceMedium::run_core(std::span<const std::uint64_t> tx_mask,
-                              std::uint64_t lane_mask, int lanes,
-                              std::uint64_t work, BatchOutcome& out,
-                              Recover recover, Sink&& sink) {
-  const graph::NodeId n = graph_->node_count();
-  const obs::TraceSpan trace_span("bitslice.round", "lanes",
-                                  static_cast<std::uint64_t>(lanes), "work",
-                                  work);
-  const std::uint64_t t0 = now_ns();
-  const bool dense = 2 * work >= n;
-  // When transmitters cover at least half of all adjacency, flip the
-  // traversal to a listener-centric gather: the planes accumulate in
-  // registers, and the fused recovery paths identify senders before the
-  // listener's row leaves cache.
-  const bool gather = work >= graph_->edge_count();
-  const bool use_ids =
-      recover == Recover::kIdsDeferred || recover == Recover::kIdsFused;
-  // Only the deferred path parks id words in planes_; the fused gather
-  // path keeps them in registers, so it must not pay the widened stride.
-  if (recover == Recover::kIdsDeferred) ensure_id_capacity();
-
-  // Emits one listener's delivered/collision masks; returns the win mask.
-  // Every listener with a nonzero `one` word passes through here exactly
-  // once on each traversal shape, so the call count IS the active set.
-  std::uint32_t active = 0;
-  auto emit = [&](const graph::NodeId v, const std::uint64_t one,
-                  const std::uint64_t two) -> std::uint64_t {
-    ++active;
-    const std::uint64_t not_tx = ~tx_mask[v];
-    const std::uint64_t win = one & ~two & not_tx;
-    const std::uint64_t coll = two & not_tx & lane_mask;
-    if (win != 0) {
-      out.delivered.push_back({v, win});
-      delivered_tally_.add(win);
-    }
-    if (coll != 0) {
-      if (model_ == CollisionModel::kDetection) {
-        out.collisions.push_back({v, coll});
-      }
-      collided_tally_.add(coll);
-    }
-    return win;
+      const int lane = std::countr_zero(hit);
+      Payload& b = brow[static_cast<std::size_t>(lane) * bls];
+      const Payload p = prow[static_cast<std::size_t>(lane) * pls];
+      if (b == kNoPayload || p > b) b = p;
+      hit &= hit - 1;
+    } while (hit != 0);
   };
+  if (const_fold_) {
+    fold(&const_value_, 0, win);
+    return;
+  }
+  // Credits lanes `hit` to their sender u.
+  const std::size_t pls = payload_.lane_stride();
+  auto credit = [&](graph::NodeId u, std::uint64_t hit) {
+    const Payload* const prow = payload_.row(u);
+    if (fold_ == FoldMode::kMaxFold) {
+      fold(prow, pls, hit);
+      return;
+    }
+    do {
+      const int lane = std::countr_zero(hit);
+      out.deliveries.push_back({v, static_cast<std::uint8_t>(lane), u,
+                                prow[static_cast<std::size_t>(lane) * pls]});
+      hit &= hit - 1;
+    } while (hit != 0);
+  };
+  // A transmitting neighbour that covers every won lane is their unique
+  // sender: same deliveries, in the same order, as the row scan finds.
+  // With one lane, a listener that won heard exactly one transmitter, so
+  // the scatter's last one is it.
+  if (last != graph::kInvalidNode &&
+      (live_ == 1 || (win & ~mask_[last]) == 0)) {
+    credit(last, win);
+    return;
+  }
+  // Clearing row scan: each won lane's unique sender is the only
+  // transmitting neighbour in it, so lanes clear as senders are found and
+  // the row is left as soon as every won lane names its sender.
+  for (const graph::NodeId u : graph_->neighbors(v)) {
+    const std::uint64_t hit = win & mask_[u];
+    if (hit == 0) continue;
+    win &= ~hit;
+    credit(u, hit);
+    if (win == 0) break;
+  }
+}
 
-  if (gather) {
-    // Gather fuses the output scan — and, on the fused recovery paths,
-    // sender recovery itself — into the traversal; those phases report 0
-    // and their cost counts toward traverse_ns.
-    auto gather_pass = [&]<Recover kRecover>() {
-      [[maybe_unused]] std::array<std::uint64_t, 34> idacc;
-      for (graph::NodeId v = 0; v < n; ++v) {
-        std::uint64_t one = 0;
-        std::uint64_t two = 0;
-        if constexpr (kRecover == Recover::kIdsFused) {
-          std::fill_n(idacc.data(), idbits_, 0);
-          for (const graph::NodeId u : graph_->neighbors(v)) {
-            const std::uint64_t m = tx_mask[u] & lane_mask;
-            if (m == 0) continue;
-            two |= one & m;
-            one |= m;
-            simd::xor_id_accumulate(idacc.data(), u, m, idbits_);
+void BitplaneMedium::run_slice(graph::NodeId lo, graph::NodeId hi,
+                               std::span<const Segment> segments,
+                               std::uint64_t volume,
+                               std::vector<graph::NodeId>& touched,
+                               BatchOutcome& out, PhaseTimers* timers) {
+  // Masks-only rounds get their own instantiation, so the hot loops carry
+  // no recovery call at all.
+  if (fold_ == FoldMode::kMasksOnly) {
+    run_slice_as<false>(lo, hi, segments, volume, touched, out, timers);
+  } else {
+    run_slice_as<true>(lo, hi, segments, volume, touched, out, timers);
+  }
+}
+
+template <bool kRecover>
+void BitplaneMedium::run_slice_as(graph::NodeId lo, graph::NodeId hi,
+                                  std::span<const Segment> segments,
+                                  std::uint64_t volume,
+                                  std::vector<graph::NodeId>& touched,
+                                  BatchOutcome& out, PhaseTimers* timers) {
+  const std::uint64_t t0 = timers != nullptr ? now_ns() : 0;
+  const std::uint64_t* const mask = mask_;
+  const std::uint64_t live = live_;
+  std::uint64_t* const planes = planes_.data();
+  graph::NodeId* const last_tx = last_tx_.data();
+  const bool detection = model_ == CollisionModel::kDetection;
+  LaneCounter delivered;
+  LaneCounter collided;
+  std::uint32_t active = 0;
+  // Emits one listener with saturation words (one, two): a lane delivers
+  // iff exactly one neighbour transmitted and the listener was silent.
+  // Every listener with a nonzero `one` passes through here exactly once
+  // per round, so the call count IS the active set.
+  auto emit = [&](graph::NodeId v, std::uint64_t one, std::uint64_t two,
+                  graph::NodeId last) {
+    ++active;
+    const std::uint64_t not_tx = ~mask[v];
+    const std::uint64_t win = one & ~two & not_tx;
+    const std::uint64_t coll = two & not_tx & live;
+    if (coll != 0) {
+      if (detection) out.collisions.push_back({v, coll});
+      collided.add(coll);
+    }
+    if (win == 0) return;
+    out.delivered.push_back({v, win});
+    delivered.add(win);
+    if constexpr (kRecover) recover(v, win, last, out);
+  };
+  if (gather_) {
+    // Accumulation in registers; the row a winning listener's senders are
+    // recovered from was read one loop iteration ago, so it is L1-hot.
+    for (graph::NodeId v = lo; v < hi; ++v) {
+      std::uint64_t one = 0;
+      std::uint64_t two = 0;
+      const auto row = graph_->neighbors(v);
+      simd::gather_row(row.data(), row.size(), mask, live, one, two);
+      if (one != 0) emit(v, one, two, graph::kInvalidNode);
+    }
+    if (timers != nullptr) timers->traverse_ns += now_ns() - t0;
+  } else {
+    // Scatter: "one == 0" doubles as the untouched test. A dense slice
+    // (segment volume at least half its listeners) drops even that
+    // branch: its drain scans the whole interval anyway.
+    const bool dense = 2 * volume >= hi - lo;
+    auto scatter = [&]<bool kDense>() {
+      for (const Segment& s : segments) {
+        const std::uint64_t m = mask[s.u] & live;
+        const graph::NodeId* const row = graph_->neighbors(s.u).data();
+        for (std::uint32_t i = s.begin; i < s.end; ++i) {
+          const graph::NodeId v = row[i];
+          std::uint64_t* const blk = planes + 2 * static_cast<std::size_t>(v);
+          if constexpr (!kDense) {
+            if (blk[0] == 0) touched.push_back(v);
           }
-        } else {
-          const auto row = graph_->neighbors(v);
-          simd::gather_row(row.data(), row.size(), tx_mask.data(), lane_mask,
-                           one, two);
-        }
-        if (one == 0) continue;
-        const std::uint64_t win = emit(v, one, two);
-        if (win == 0) continue;
-        if constexpr (kRecover == Recover::kIdsFused) {
-          // Extraction straight from the register accumulators — the id
-          // words never touch the planes array on this path.
-          extract_ids(v, win, idacc.data(), sink);
-        } else if constexpr (kRecover == Recover::kScanFused) {
-          // Hot re-walk: the row and its transmit-mask words were read
-          // one loop iteration ago, so this is L1 traffic, and it only
-          // happens for winning listeners.
-          std::uint64_t left = win;
-          for (const graph::NodeId u : graph_->neighbors(v)) {
-            const std::uint64_t hit = left & tx_mask[u];
-            if (hit == 0) continue;
-            left &= ~hit;
-            sink(v, u, hit);
-            if (left == 0) break;
-          }
+          if constexpr (kRecover) last_tx[v] = s.u;
+          blk[1] |= blk[0] & m;
+          blk[0] |= m;
         }
       }
     };
-    switch (recover) {
-      case Recover::kIdsFused:
-        gather_pass.template operator()<Recover::kIdsFused>();
-        break;
-      case Recover::kScanFused:
-        gather_pass.template operator()<Recover::kScanFused>();
-        break;
-      default:
-        gather_pass.template operator()<Recover::kNone>();
-        break;
-    }
-    timers_.traverse_ns += now_ns() - t0;
-  } else {
-    // Scatter: bitwise saturating add into the per-listener blocks. Planes
-    // are all-zero between rounds, so "one == 0" doubles as the untouched
-    // test; the dense path drops even that branch — its output scan walks
-    // every listener anyway. Fused recovery does not apply here (plane
-    // state only settles once every transmitter's row has been applied).
+    touched.clear();
     if (dense) {
-      if (use_ids) {
-        scatter_accumulate<true, true>(tx_mask, lane_mask);
-      } else {
-        scatter_accumulate<false, true>(tx_mask, lane_mask);
-      }
+      scatter.template operator()<true>();
     } else {
-      touched_.clear();
-      if (use_ids) {
-        scatter_accumulate<true, false>(tx_mask, lane_mask);
-      } else {
-        scatter_accumulate<false, false>(tx_mask, lane_mask);
-      }
+      scatter.template operator()<false>();
     }
-    const std::uint64_t t1 = now_ns();
-    timers_.traverse_ns += t1 - t0;
+    const std::uint64_t t1 = timers != nullptr ? now_ns() : 0;
+    if (timers != nullptr) timers->traverse_ns += t1 - t0;
 
-    // Output scan: a lane delivers iff exactly one neighbour transmitted
-    // and the listener was silent — pure bitplane arithmetic. Re-zeroing
-    // (the next round's invariant) is fused into the same sweep; winning
-    // listeners' id words are left live for the recovery pass, which
-    // consumes and clears them.
-    auto output_block = [&](const graph::NodeId v) {
-      std::uint64_t* const blk =
-          planes_.data() + static_cast<std::size_t>(v) * stride_;
-      const std::uint64_t win = emit(v, blk[0], blk[1]);
+    // Drain: emit and re-zero (the next round's invariant) in one sweep.
+    auto drain = [&](const graph::NodeId v, const graph::NodeId last) {
+      std::uint64_t* const blk = planes + 2 * static_cast<std::size_t>(v);
+      const std::uint64_t one = blk[0];
+      const std::uint64_t two = blk[1];
       blk[0] = 0;
       blk[1] = 0;
-      if (use_ids && win == 0) std::fill_n(blk + 2, idbits_, 0);
+      emit(v, one, two, last);
     };
     if (dense) {
-      for (graph::NodeId v = 0; v < n; ++v) {
-        if (planes_[static_cast<std::size_t>(v) * stride_] != 0) {
-          output_block(v);
+      for (graph::NodeId v = lo; v < hi; ++v) {
+        if (planes[2 * static_cast<std::size_t>(v)] != 0) {
+          drain(v, kRecover ? last_tx[v] : graph::kInvalidNode);
         }
       }
     } else {
-      for (const graph::NodeId v : touched_) output_block(v);
+      for (const graph::NodeId v : touched) {
+        drain(v, kRecover ? last_tx[v] : graph::kInvalidNode);
+      }
     }
-    timers_.output_ns += now_ns() - t1;
+    if (timers != nullptr) timers->output_ns += now_ns() - t1;
   }
-
-  out.active_listeners = active;
-  timers_.active_listeners += active;
-  delivered_tally_.extract(out.delivered_count, lanes);
-  collided_tally_.extract(out.collided_count, lanes);
-  const std::uint64_t t2 = now_ns();
-
-  // Deferred recovery passes (the fused ones already ran inside gather).
-  if (recover == Recover::kIdsDeferred) {
-    idplane_recover(out, sink);
-  } else if (recover == Recover::kScanDeferred) {
-    rowscan_recover(tx_mask, out, sink);
-  }
-
-  if (recover != Recover::kNone) {
-    if (use_ids) {
-      ++timers_.idplane_rounds;
-    } else {
-      ++timers_.rowscan_rounds;
-    }
-    if (recovery_ == RecoveryStrategy::kAuto) {
-      // Feed kAuto's scatter predictor with what a row scan of this
-      // round's delivered listeners would have walked.
-      std::uint64_t scan = 0;
-      for (const auto& dm : out.delivered) scan += graph_->degree(dm.node);
-      scan_cost_estimate_ = scan;
-    }
-    timers_.recover_ns += now_ns() - t2;
-  }
-  static obs::Histogram& round_hist =
-      obs::Metrics::global().histogram("radio.bitslice.round_ns");
-  round_hist.record(now_ns() - t0);
-  ++timers_.rounds;
+  delivered.extract(out.delivered_count, lanes_);
+  collided.extract(out.collided_count, lanes_);
+  out.active_listeners += active;
 }
 
-void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
+void BitplaneMedium::run_batch(std::span<const std::uint64_t> tx_mask,
                                PayloadPlanes payload, int lanes,
                                BatchOutcome& out, FoldMode mode,
-                               KnowledgePlanes best) {
+                               KnowledgePlanes best,
+                               const std::vector<graph::NodeId>* listed) {
   const graph::NodeId n = graph_->node_count();
   if (tx_mask.size() != n || payload.plane_size() != n) {
-    throw std::invalid_argument("BitsliceMedium: size mismatch");
+    throw std::invalid_argument(std::string(name()) + ": size mismatch");
   }
   if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
-    throw std::invalid_argument("BitsliceMedium: lanes out of range");
+    throw std::invalid_argument(std::string(name()) +
+                                ": lanes out of range");
   }
-  const std::uint64_t lane_mask = radio::lane_mask(lanes);
+  const std::uint64_t live = radio::lane_mask(lanes);
   out.clear();
   tx_tally_.reset();
-  delivered_tally_.reset();
-  collided_tally_.reset();
+  if (mode != FoldMode::kMasksOnly && last_tx_.size() != n) {
+    last_tx_.assign(n, graph::kInvalidNode);
+  }
 
   const std::uint64_t t0 = now_ns();
-  // Prologue: transmitter list, per-lane tallies, and the traversal-volume
-  // estimate that picks the scatter/gather shape and the recovery path.
-  // For a lane-invariant max-fold it also checks whether every transmitter
-  // carries one payload value — a fixed-value relay (flood) folds with no
-  // sender identification at all.
-  txlist_.clear();
+  // Prologue: transmitter segments, per-lane tallies, and the
+  // traversal-volume estimate that picks the gather/scatter shape. For a
+  // lane-invariant max-fold it also checks whether every transmitter
+  // carries one payload value — a fixed-value relay folds with no sender
+  // identification at all. The check is gated on kAuto so kRowScan keeps
+  // the row scan as the reference the shortcut is tested against.
+  txsegs_.clear();
   std::uint64_t work = 0;
   bool const_plane = mode == FoldMode::kMaxFold && payload.lane_invariant() &&
                      recovery_ == RecoveryStrategy::kAuto;
   Payload const_value = kNoPayload;
   bool const_seen = false;
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::uint64_t m = tx_mask[u] & lane_mask;
-    if (m == 0) continue;
+  auto visit = [&](const graph::NodeId u) {
+    const std::uint64_t m = tx_mask[u] & live;
+    if (m == 0) return;
     tx_tally_.add(m);
-    txlist_.push_back(u);
-    work += graph_->degree(u);
+    const auto degree = static_cast<std::uint32_t>(graph_->degree(u));
+    txsegs_.push_back({u, 0, degree});
+    work += degree;
     if (const_plane) {
       const Payload p = payload.at(0, u);
       if (!const_seen) {
@@ -393,98 +238,43 @@ void BitsliceMedium::run_batch(std::span<const std::uint64_t> tx_mask,
         const_plane = false;
       }
     }
+  };
+  if (listed != nullptr) {
+    for (const graph::NodeId u : *listed) visit(u);
+  } else {
+    for (graph::NodeId u = 0; u < n; ++u) visit(u);
   }
   tx_tally_.extract(out.transmitter_count, lanes);
   timers_.traverse_ns += now_ns() - t0;
 
-  const bool gather = work >= graph_->edge_count();
-  const Recover recover = mode == FoldMode::kMasksOnly ? Recover::kNone
-                          : const_plane              ? Recover::kConstFold
-                                                     : choose_recovery(
-                                                           work, gather);
+  mask_ = tx_mask.data();
+  live_ = live;
+  lanes_ = lanes;
+  payload_ = payload;
+  best_ = best;
+  fold_ = mode;
+  const_fold_ = const_plane;
+  const_value_ = const_value;
+  // Listener-centric gather once transmitters cover at least half of all
+  // adjacency: it reads every row once (2m entries), the scatter reads
+  // the transmitters' rows plus a drain.
+  gather_ = work >= graph_->edge_count();
+  work_ = work;
+  run_round(out);
 
-  if (recover == Recover::kConstFold) {
-    run_core(tx_mask, lane_mask, lanes, work, out, Recover::kNone,
-             [](graph::NodeId, graph::NodeId, std::uint64_t) {});
-    const std::uint64_t tr = now_ns();
-    const std::size_t bls = best.lane_stride();
-    std::uint64_t scan = 0;
-    for (const auto& dm : out.delivered) {
-      Payload* const brow = best.row(dm.node);
-      std::uint64_t hit = dm.lanes;
-      do {
-        const int lane = std::countr_zero(hit);
-        Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-        if (b == kNoPayload || const_value > b) b = const_value;
-        hit &= hit - 1;
-      } while (hit != 0);
-      scan += graph_->degree(dm.node);
+  timers_.active_listeners += out.active_listeners;
+  if (mode != FoldMode::kMasksOnly) {
+    if (const_plane) {
+      ++timers_.constfold_rounds;
+    } else {
+      ++timers_.rowscan_rounds;
     }
-    scan_cost_estimate_ = scan;
-    ++timers_.constfold_rounds;
-    timers_.recover_ns += now_ns() - tr;
-    return;
   }
-
-  // Sinks take one (listener, sender, lane mask) group per call; for
-  // lane-invariant payload planes the sender's payload is read once per
-  // group instead of once per delivered lane.
-  const bool invariant = payload.lane_invariant();
-  if (mode == FoldMode::kSenders) {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
-             [&](const graph::NodeId v, const graph::NodeId u,
-                 std::uint64_t hit) {
-               if (invariant) {
-                 const Payload p = payload.at(0, u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   out.deliveries.push_back(
-                       {v, static_cast<std::uint8_t>(lane), u, p});
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               } else {
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   out.deliveries.push_back({v,
-                                             static_cast<std::uint8_t>(lane),
-                                             u, payload.at(lane, u)});
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               }
-             });
-  } else if (mode == FoldMode::kMaxFold) {
-    const std::size_t bls = best.lane_stride();
-    const std::size_t pls = payload.lane_stride();
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
-             [&](const graph::NodeId v, const graph::NodeId u,
-                 std::uint64_t hit) {
-               Payload* const brow = best.row(v);
-               if (invariant) {
-                 const Payload p = payload.at(0, u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                   if (b == kNoPayload || p > b) b = p;
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               } else {
-                 const Payload* const prow = payload.row(u);
-                 do {
-                   const int lane = std::countr_zero(hit);
-                   Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-                   const Payload p = prow[static_cast<std::size_t>(lane) * pls];
-                   if (b == kNoPayload || p > b) b = p;
-                   hit &= hit - 1;
-                 } while (hit != 0);
-               }
-             });
-  } else {
-    run_core(tx_mask, lane_mask, lanes, work, out, recover,
-             [](graph::NodeId, graph::NodeId, std::uint64_t) {});
-  }
+  ++timers_.rounds;
+  round_ns_.record(now_ns() - t0);
 }
 
-void BitsliceMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
+void BitplaneMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
                                    PayloadPlanes payload, int lanes,
                                    BatchOutcome& out, bool with_senders) {
   run_batch(tx_mask, payload, lanes, out,
@@ -492,34 +282,51 @@ void BitsliceMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
             KnowledgePlanes(std::span<Payload>{}));
 }
 
-void BitsliceMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
+void BitplaneMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
                                        PayloadPlanes payload, int lanes,
                                        KnowledgePlanes best,
                                        BatchOutcome& out) {
-  const graph::NodeId n = graph_->node_count();
-  if (best.plane_size() < n || lanes > best.lane_capacity()) {
-    throw std::invalid_argument(
-        "BitsliceMedium::resolve_batch_max: best too small");
+  if (best.plane_size() < graph_->node_count() ||
+      lanes > best.lane_capacity()) {
+    throw std::invalid_argument(std::string(name()) +
+                                "::resolve_batch_max: best too small");
   }
   run_batch(tx_mask, payload, lanes, out, FoldMode::kMaxFold, best);
 }
 
-void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
+void BitplaneMedium::resolve(std::span<const graph::NodeId> transmitters,
                              std::span<const Payload> tx_payload,
                              SparseOutcome& out) {
   if (transmitters.size() != tx_payload.size()) {
-    throw std::invalid_argument("BitsliceMedium::resolve: size mismatch");
+    throw std::invalid_argument(std::string(name()) +
+                                "::resolve: size mismatch");
   }
   // Materialise a one-lane mask; cleared sparsely afterwards so repeated
-  // rounds stay proportional to the transmitter set.
+  // rounds stay proportional to the transmitter set. Allocated on first
+  // use: batch-only callers never pay for it.
+  const graph::NodeId n = graph_->node_count();
+  if (mask1_.size() != n) {
+    mask1_.assign(n, 0);
+    payload1_.assign(n, kNoPayload);
+  }
+  // The prologue walks the deduplicated list, not all n mask words, so a
+  // sparse round costs O(|T| + sum of transmitter degrees).
+  tx1_.clear();
   for (std::size_t i = 0; i < transmitters.size(); ++i) {
     const graph::NodeId u = transmitters[i];
     if (mask1_[u] != 0) continue;  // duplicate: first payload wins
     mask1_[u] = 1;
     payload1_[u] = tx_payload[i];
+    tx1_.push_back(u);
   }
-  resolve_batch(mask1_, payload1_, 1, batch_out_);
-  for (const graph::NodeId u : transmitters) {
+  // Node order, as a mask scan would visit them (callers usually pass
+  // sorted lists, so this is one linear check).
+  if (!std::is_sorted(tx1_.begin(), tx1_.end())) {
+    std::sort(tx1_.begin(), tx1_.end());
+  }
+  run_batch(mask1_, payload1_, 1, batch_out_, FoldMode::kSenders,
+            KnowledgePlanes(std::span<Payload>{}), &tx1_);
+  for (const graph::NodeId u : tx1_) {
     // Clear the payload alongside the mask: a stale payload1_ entry must
     // never survive into a later round's plane view (pinned by the
     // repeated-round duplicate-transmitter regression test).
@@ -538,6 +345,18 @@ void BitsliceMedium::resolve(std::span<const graph::NodeId> transmitters,
   for (const auto& c : batch_out_.collisions) {
     out.collided_nodes.push_back(c.node);
   }
+}
+
+BitsliceMedium::BitsliceMedium(const graph::Graph& g, CollisionModel model)
+    : BitplaneMedium(g, model, "radio.bitslice.round_ns") {
+  touched_.reserve(g.node_count());
+}
+
+void BitsliceMedium::run_round(BatchOutcome& out) {
+  const obs::TraceSpan trace_span("bitslice.round", "lanes",
+                                  static_cast<std::uint64_t>(lanes_), "work",
+                                  work_);
+  run_slice(0, graph_->node_count(), txsegs_, work_, touched_, out, &timers_);
 }
 
 }  // namespace radiocast::radio

@@ -1,45 +1,48 @@
-// Bit-sliced batch backend: resolves one round for up to 64 independent
-// Monte-Carlo lanes with one CSR traversal.
+// The 64-lane bitplane kernel (BitplaneMedium) and its one-slice backend
+// (BitsliceMedium). One CSR traversal resolves a round for up to 64
+// independent Monte-Carlo lanes.
 //
-// Per listener it maintains a contiguous block of bitplane words,
+// The kernel runs over one SLICE: a listener interval [lo, hi) plus the
+// row segments of this round's transmitters that fall inside it. Per
+// listener it keeps a two-word block [ one | two ] — the ">= 1 tx" /
+// ">= 2 tx" saturation planes, updated with a bitwise saturating add
+// (two |= one & m; one |= m). A round takes one of two shapes:
 //
-//   [ one | two | id_0 .. id_{idbits-1} ]
+//   gather  — listener-centric (transmitters cover at least half of all
+//             adjacency): each listener ORs its row's transmit masks in
+//             registers (simd::gather_row) and is emitted at once
+//   scatter — transmitter-centric: segments saturate into the planes,
+//             then a drain emits and re-zeroes every touched listener
+//             (dense slices scan the interval instead of keeping a
+//             touched list)
 //
-// where `one`/`two` are the ">= 1 tx" / ">= 2 tx" saturation planes
-// updated with a bitwise saturating add (two |= one & m; one |= m) and the
-// optional id words implement in-kernel sender identification: word id_b's
-// lane-l bit is the XOR of bit b of every id transmitted into the listener
-// on lane l. On any lane the listener *wins* (exactly one transmitter) the
-// XOR IS the unique sender's id, so recovery reads senders straight out of
-// the planes in O(idbits = ceil(log2 n)) per delivery instead of
-// re-scanning the listener's adjacency row — the bookkeeping rides the
-// batched communication pass instead of a second sweep. RecoveryStrategy
-// (kRowScan / kIdPlanes / kAuto cost prediction) picks the path per round;
-// both produce identical outcomes.
+// Emission writes the delivered/collided lane sets and, on a round that
+// needs senders, recovers them right there: a row scan of the winning
+// listener against the transmit masks (each won lane has exactly one
+// transmitting neighbour), or — for a max-fold where the prologue proved
+// every transmitter carries one payload value — a constant fold with no
+// sender identification. A scatter also notes the last transmitter it saw
+// at each listener; when that one transmits in every won lane it is their
+// sender and the row scan is skipped (on one lane, always).
+// Masks-only rounds recover nothing.
 //
-// The traversal itself is transmitter-centric scatter (sparse rounds,
-// blocks in planes_) or listener-centric gather (dense rounds, blocks in
-// registers, id words stored only for winning listeners); the per-edge id
-// update and the per-delivery id extraction run through the AVX2 kernels
-// in radio/simd.hpp behind runtime dispatch, with scalar fallbacks.
+// BitsliceMedium runs the kernel inline as one slice whose segments are
+// the transmitters' whole rows; ShardedMedium (radio/medium_sharded.hpp)
+// runs it over many slices on a work-stealing pool.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "radio/lane_counter.hpp"
 #include "radio/medium.hpp"
 
 namespace radiocast::radio {
 
-class BitsliceMedium final : public Medium {
+class BitplaneMedium : public Medium {
  public:
-  BitsliceMedium(const graph::Graph& g, CollisionModel model);
-
-  std::string_view name() const override { return "bitslice"; }
-
   /// Single-instance rounds run through the batch kernel with one lane, so
   /// the facade path and the batch path exercise the same code.
   void resolve(std::span<const graph::NodeId> transmitters,
@@ -52,113 +55,102 @@ class BitsliceMedium final : public Medium {
 
   /// Fold path: every recovered (listener, lane, sender) max-combines the
   /// sender's payload straight into the best knowledge planes (any
-  /// KnowledgePlanes layout; node-major keeps each listener's folded lane
-  /// words in one cache-line run) — no per-delivery records at all.
+  /// KnowledgePlanes layout) — no per-delivery records at all.
   void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
                          PayloadPlanes payload, int lanes,
                          KnowledgePlanes best, BatchOutcome& out) override;
 
-  /// Sender-id plane words per listener: ceil(log2 n), at least 1.
-  std::uint32_t id_bits() const { return idbits_; }
+ protected:
+  /// `round_histogram` names the metrics histogram of whole-round times.
+  BitplaneMedium(const graph::Graph& g, CollisionModel model,
+                 const char* round_histogram);
 
- private:
-  /// What run_batch does with each recovered delivery.
-  enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
-
-  /// How this round identifies senders. The deferred paths run as a
-  /// separate (timed) recovery pass; the fused paths recover inside the
-  /// gather traversal while the listener's row / id accumulators are still
-  /// hot in cache and registers:
-  ///   kNone          — mask-only round, nothing to recover
-  ///   kScanDeferred  — row scan over out.delivered (the PR 3 path;
-  ///                    RecoveryStrategy::kRowScan pins it for comparison)
-  ///   kScanFused     — gather only: re-walk the row at emit time (kAuto's
-  ///                    gather choice: the row and transmit masks were read
-  ///                    one loop iteration ago)
-  ///   kIdsDeferred   — scatter id planes, extraction pass over delivered
-  ///   kIdsFused      — gather id planes in registers, extraction at emit
-  ///   kConstFold     — max-fold only: the prologue proved every
-  ///                    transmitter carries the same payload value, so the
-  ///                    fold needs no sender identity at all (run_batch
-  ///                    handles it; run_core never sees this value)
-  enum class Recover : std::uint8_t {
-    kNone,
-    kScanDeferred,
-    kScanFused,
-    kIdsDeferred,
-    kIdsFused,
-    kConstFold
+  /// One transmitter's row segment: row indices [begin, end) of u's
+  /// adjacency.
+  struct Segment {
+    graph::NodeId u;
+    std::uint32_t begin;
+    std::uint32_t end;
   };
 
+  /// What emission does with each won lane.
+  enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
+
+  /// Resolves this round's slices into `out` once the shared prologue has
+  /// filled the round context below and out.transmitter_count. Must leave
+  /// every plane word zero again.
+  virtual void run_round(BatchOutcome& out) = 0;
+
+  /// Resolves one slice, appending to `out` and adding to its counts.
+  /// Touches only planes and knowledge rows of listeners in
+  /// [lo, hi), so disjoint slices may run concurrently. With `timers`, the
+  /// scatter traversal and the drain are split into traverse_ns and
+  /// output_ns; a gather slice counts as traverse.
+  void run_slice(graph::NodeId lo, graph::NodeId hi,
+                 std::span<const Segment> segments, std::uint64_t volume,
+                 std::vector<graph::NodeId>& touched, BatchOutcome& out,
+                 PhaseTimers* timers);
+
+  // Round context: written by the prologue, read-only in run_round.
+  const std::uint64_t* mask_ = nullptr;
+  std::uint64_t live_ = 0;  // lane_mask(lanes)
+  int lanes_ = 1;
+  PayloadPlanes payload_{std::span<const Payload>{}};
+  KnowledgePlanes best_{std::span<Payload>{}};
+  FoldMode fold_ = FoldMode::kMasksOnly;
+  bool const_fold_ = false;
+  Payload const_value_ = kNoPayload;
+  bool gather_ = false;
+  std::uint64_t work_ = 0;  // sum of transmitter degrees
+  // The round's transmitters as whole-row segments, in node order.
+  std::vector<Segment> txsegs_;
+
+ private:
+  /// `listed`, when given, holds every node with a nonzero mask word in
+  /// ascending order, so the prologue visits |T| nodes instead of n.
   void run_batch(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
                  int lanes, BatchOutcome& out, FoldMode mode,
-                 KnowledgePlanes best);
-  template <class Sink>
-  void run_core(std::span<const std::uint64_t> tx_mask, std::uint64_t lane_mask,
-                int lanes, std::uint64_t work, BatchOutcome& out,
-                Recover recover, Sink&& sink);
-  /// Applies the RecoveryStrategy knob to this round's traversal shape;
-  /// kAuto fuses a row re-walk into gather rounds and, for scatter rounds,
-  /// predicts id planes vs the deferred scan from the traversal volume and
-  /// the last sender-recovering round's delivered-row volume.
-  Recover choose_recovery(std::uint64_t work, bool gather) const;
-  /// Widens the per-listener block stride from 2 to 2 + idbits_. Planes
-  /// are all-zero between rounds, so the relayout is just a bigger zeroed
-  /// allocation.
-  void ensure_id_capacity();
+                 KnowledgePlanes best,
+                 const std::vector<graph::NodeId>* listed = nullptr);
+  template <bool kRecover>
+  void run_slice_as(graph::NodeId lo, graph::NodeId hi,
+                    std::span<const Segment> segments, std::uint64_t volume,
+                    std::vector<graph::NodeId>& touched, BatchOutcome& out,
+                    PhaseTimers* timers);
+  /// Sender recovery for v's won lanes `win` (see the file comment).
+  /// `last` is the last transmitter the scatter saw at v (kInvalidNode on
+  /// gather rounds).
+  void recover(graph::NodeId v, std::uint64_t win, graph::NodeId last,
+               BatchOutcome& out) const;
 
-  template <bool kWithIds, bool kDense>
-  void scatter_accumulate(std::span<const std::uint64_t> tx_mask,
-                          std::uint64_t lane_mask);
-  /// Row-scan recovery (the pre-id-planes path): re-walk each winning
-  /// listener's row, clearing won lanes as their unique senders are found.
-  /// Sink: (listener, sender, lane mask) — one call per sender group, so
-  /// sinks hoist per-sender work (the payload read, for lane-invariant
-  /// planes) out of the per-lane loop.
-  template <class Sink>
-  void rowscan_recover(std::span<const std::uint64_t> tx_mask,
-                       const BatchOutcome& out, Sink&& sink) const;
-  /// Id-plane recovery: read each won lane's sender id back out of the
-  /// listener's XOR planes and re-zero them (the between-round invariant).
-  template <class Sink>
-  void idplane_recover(const BatchOutcome& out, Sink&& sink);
-  /// Extraction core shared by the deferred and fused id paths: calls
-  /// sink(v, sender, single-lane mask) for every lane in `win`, reading
-  /// senders out of the id words (per-lane bit gather, or one 64x64
-  /// transpose for win-dense listeners).
-  template <class Sink>
-  void extract_ids(graph::NodeId v, std::uint64_t win, const std::uint64_t* id,
-                   Sink&& sink) const;
-
-  // ceil(log2 n) — how many id planes a sender id needs. NodeId is 32-bit,
-  // so blocks never exceed 2 + 32 words.
-  std::uint32_t idbits_;
-  // Words per listener block: 2 until the first id-plane round, then
-  // 2 + idbits_ for the lifetime of the medium.
-  std::size_t stride_ = 2;
-  // Per-listener bitplane blocks (node_count * stride_ words). Invariant
+  // Per-listener [one, two] blocks (2 * node_count words). Invariant
   // between rounds: all zero — a nonzero `one` marks the listener as
   // touched this round (transmit masks are never empty), so no epoch
-  // stamps are needed; each round's epilogue re-zeroes exactly what it
-  // dirtied (id words of winning listeners are re-zeroed by the recovery
-  // pass that consumes them).
+  // stamps are needed; each drain re-zeroes exactly what it emitted.
   std::vector<std::uint64_t> planes_;
-  std::vector<graph::NodeId> touched_;
-  std::vector<graph::NodeId> txlist_;
-  // kAuto's estimate of the row-scan volume: sum of delivered listeners'
-  // degrees in the last sender-recovering round (round densities drift
-  // slowly, so the previous round is a good predictor of this one).
-  std::uint64_t scan_cost_estimate_;
-
-  // Bit-sliced per-lane tallies (see radio/lane_counter.hpp).
+  // Last transmitter seen at each listener, written by scatters on rounds
+  // that recover senders (allocated on the first such round).
+  std::vector<graph::NodeId> last_tx_;
   LaneCounter tx_tally_;
-  LaneCounter delivered_tally_;
-  LaneCounter collided_tally_;
+  obs::Histogram& round_ns_;
 
   // Scratch for the single-instance resolve() adapter.
   std::vector<std::uint64_t> mask1_;
   std::vector<Payload> payload1_;
+  std::vector<graph::NodeId> tx1_;  // mask1_'s set nodes, ascending
   BatchOutcome batch_out_;
+};
+
+class BitsliceMedium final : public BitplaneMedium {
+ public:
+  BitsliceMedium(const graph::Graph& g, CollisionModel model);
+
+  std::string_view name() const override { return "bitslice"; }
+
+ private:
+  void run_round(BatchOutcome& out) override;
+
+  std::vector<graph::NodeId> touched_;
 };
 
 }  // namespace radiocast::radio

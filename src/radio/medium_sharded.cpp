@@ -1,7 +1,6 @@
 #include "radio/medium_sharded.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <fstream>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "radio/simd.hpp"
 #include "util/parse.hpp"
 
 namespace radiocast::radio {
@@ -87,16 +85,8 @@ int numa_group_count() {
 
 ShardedMedium::ShardedMedium(const graph::Graph& g, CollisionModel model,
                              int threads, int slices)
-    : Medium(g, model) {
+    : BitplaneMedium(g, model, "radio.sharded.round_ns") {
   const graph::NodeId n = g.node_count();
-  tx_stamp_.assign(n, 0);
-  payload_of_.assign(n, kNoPayload);
-  stamp_.assign(n, 0);
-  tx_count_.assign(n, 0);
-  tx_from_.assign(n, graph::kInvalidNode);
-  pending_payload_.assign(n, kNoPayload);
-  one_.assign(n, 0);
-  two_.assign(n, 0);
 
   const auto prefix = g.degree_prefix();
   const std::uint64_t total = n == 0 ? 0 : prefix[n];
@@ -228,13 +218,13 @@ void ShardedMedium::worker_loop(std::size_t w) {
       // Drain my own deque from the front, then steal from the back of the
       // other workers' deques. Every slice index is claimed by exactly one
       // CAS, so each slice runs exactly once regardless of interleaving.
-      while (pop_front(ranges_[w], idx)) run_slice(idx);
+      while (pop_front(ranges_[w], idx)) resolve_slice(idx);
       for (const std::size_t victim : steal_order_[w]) {
         for (;;) {
           ++attempts;
           if (!steal_back(ranges_[victim], idx)) break;
           ++steals;
-          run_slice(idx);
+          resolve_slice(idx);
         }
       }
     }
@@ -250,10 +240,6 @@ void ShardedMedium::worker_loop(std::size_t w) {
 
 void ShardedMedium::kick_and_wait() {
   const std::size_t slice_total = slices_.size();
-  if (workers_.empty()) {
-    for (std::size_t si = 0; si < slice_total; ++si) run_slice(si);
-    return;
-  }
   const std::size_t w_count = workers_.size();
   for (std::size_t w = 0; w < w_count; ++w) {
     const std::uint64_t lo = slice_total * w / w_count;
@@ -287,445 +273,78 @@ void ShardedMedium::kick_and_wait() {
   steals_hist.record(round_steals);
 }
 
-void ShardedMedium::build_slice_tx() {
-  for (auto& s : slices_) s.tx.clear();
+void ShardedMedium::build_segments() {
+  for (auto& s : slices_) {
+    s.segments.clear();
+    s.volume = 0;
+  }
   // Rows are sorted and slices are contiguous node intervals, so each
-  // row decomposes into runs of equal slice index — one O(degree) walk
-  // per transmitter, no binary searches, and each slice's list arrives
-  // in txlist_ order (worker-independent by construction).
-  for (const graph::NodeId u : txlist_) {
-    const auto row = graph_->neighbors(u);
-    std::uint32_t start = 0;
-    const std::uint32_t len = static_cast<std::uint32_t>(row.size());
-    while (start < len) {
+  // row decomposes into runs that end at a slice's upper bound — one
+  // O(degree) walk per transmitter, one slice lookup per run, and each
+  // slice's list arrives in transmitter order (worker-independent by
+  // construction).
+  for (const Segment& t : txsegs_) {
+    const auto row = graph_->neighbors(t.u);
+    std::uint32_t start = t.begin;
+    while (start < t.end) {
       const std::uint32_t si = node_slice_[row[start]];
+      const graph::NodeId hi = slices_[si].hi;
       std::uint32_t end = start + 1;
-      while (end < len && node_slice_[row[end]] == si) ++end;
-      slices_[si].tx.push_back({u, start, end});
+      while (end < t.end && row[end] < hi) ++end;
+      slices_[si].segments.push_back({t.u, start, end});
+      slices_[si].volume += end - start;
       start = end;
     }
   }
 }
 
-void ShardedMedium::run_slice(std::size_t si) {
+void ShardedMedium::resolve_slice(std::size_t si) {
   Slice& s = slices_[si];
-  s.active = 0;
-  switch (mode_) {
-    case RoundMode::kScalarDense:
-    case RoundMode::kScalarScatter:
-      s.deliveries.clear();
-      s.collided.clear();
-      s.collided_count = 0;
-      if (mode_ == RoundMode::kScalarDense) {
-        run_slice_scalar_dense(s);
-      } else {
-        run_slice_scalar_scatter(s);
-      }
-      break;
-    case RoundMode::kBatchGather:
-    case RoundMode::kBatchScatter:
-      s.delivered_b.clear();
-      s.deliveries_b.clear();
-      s.collisions_b.clear();
-      s.delivered_tally.reset();
-      s.collided_tally.reset();
-      if (mode_ == RoundMode::kBatchGather) {
-        run_slice_batch_gather(s);
-      } else {
-        run_slice_batch_scatter(s);
-      }
-      break;
-  }
+  s.out.clear();
+  run_slice(s.lo, s.hi, s.segments, s.volume, s.touched, s.out,
+            /*timers=*/nullptr);
 }
 
-void ShardedMedium::run_slice_scalar_dense(Slice& s) {
-  // Listener-centric gather: scan my listeners' rows against the
-  // transmitter stamps; early-exit once the outcome is certain (a
-  // transmitting listener only needs to know whether it was woken).
-  for (graph::NodeId v = s.lo; v < s.hi; ++v) {
-    const bool is_tx = tx_stamp_[v] == epoch_;
-    const std::uint32_t stop = is_tx ? 1u : 2u;
-    std::uint32_t count = 0;
-    graph::NodeId from = graph::kInvalidNode;
-    for (const graph::NodeId u : graph_->neighbors(v)) {
-      if (tx_stamp_[u] != epoch_) continue;
-      from = u;
-      if (++count >= stop) break;
+void ShardedMedium::run_round(BatchOutcome& out) {
+  const obs::TraceSpan trace_span("sharded.batch_round", "lanes",
+                                  static_cast<std::uint64_t>(lanes_), "work",
+                                  work_);
+  const std::uint64_t t0 = now_ns();
+  if (!gather_) build_segments();
+  if (workers_.empty()) {
+    // One worker: slices run in order straight into `out` — the merge's
+    // order without its copy.
+    for (Slice& s : slices_) {
+      run_slice(s.lo, s.hi, s.segments, s.volume, s.touched, out,
+                /*timers=*/nullptr);
     }
-    if (count != 0) ++s.active;
-    if (is_tx) continue;  // half-duplex
-    if (count == 1) {
-      s.deliveries.push_back({v, from, payload_of_[from]});
-    } else if (count >= 2) {
-      ++s.collided_count;
-      if (model_ == CollisionModel::kDetection) {
-        s.collided.push_back(v);
-      }
-    }
-  }
-}
-
-void ShardedMedium::run_slice_scalar_scatter(Slice& s) {
-  // Scatter each transmitter's pre-segmented row run into my listener
-  // interval; listeners reset lazily by epoch stamp.
-  s.touched.clear();
-  for (const SliceTx& t : s.tx) {
-    const auto row = graph_->neighbors(t.u);
-    const Payload p = payload_of_[t.u];
-    for (std::uint32_t i = t.begin; i < t.end; ++i) {
-      const graph::NodeId v = row[i];
-      if (stamp_[v] != epoch_) {
-        stamp_[v] = epoch_;
-        tx_count_[v] = 0;
-        s.touched.push_back(v);
-      }
-      ++tx_count_[v];
-      pending_payload_[v] = p;
-      tx_from_[v] = t.u;
-    }
-  }
-  s.active = static_cast<std::uint32_t>(s.touched.size());
-  for (const graph::NodeId v : s.touched) {
-    if (tx_stamp_[v] == epoch_) continue;  // half-duplex
-    if (tx_count_[v] == 1) {
-      s.deliveries.push_back({v, tx_from_[v], pending_payload_[v]});
-    } else {
-      ++s.collided_count;
-      if (model_ == CollisionModel::kDetection) {
-        s.collided.push_back(v);
-      }
-    }
-  }
-}
-
-std::uint64_t ShardedMedium::emit_batch_listener(Slice& s, graph::NodeId v,
-                                                 std::uint64_t one,
-                                                 std::uint64_t two) {
-  ++s.active;
-  const std::uint64_t not_tx = ~round_mask_[v];
-  const std::uint64_t win = one & ~two & not_tx;
-  const std::uint64_t coll = two & not_tx & round_live_;
-  if (win != 0) {
-    s.delivered_b.push_back({v, win});
-    s.delivered_tally.add(win);
-  }
-  if (coll != 0) {
-    if (model_ == CollisionModel::kDetection) {
-      s.collisions_b.push_back({v, coll});
-    }
-    s.collided_tally.add(coll);
-  }
-  return win;
-}
-
-void ShardedMedium::fold_const_batch(graph::NodeId v, std::uint64_t win) {
-  Payload* const brow = round_best_.row(v);
-  const std::size_t bls = round_best_.lane_stride();
-  do {
-    const int lane = std::countr_zero(win);
-    Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-    if (b == kNoPayload || const_value_ > b) b = const_value_;
-    win &= win - 1;
-  } while (win != 0);
-}
-
-void ShardedMedium::sink_batch(Slice& s, graph::NodeId v, graph::NodeId u,
-                               std::uint64_t hit) {
-  const bool invariant = round_payload_.lane_invariant();
-  if (fold_ == FoldMode::kSenders) {
-    if (invariant) {
-      const Payload p = round_payload_.at(0, u);
-      do {
-        const int lane = std::countr_zero(hit);
-        s.deliveries_b.push_back({v, static_cast<std::uint8_t>(lane), u, p});
-        hit &= hit - 1;
-      } while (hit != 0);
-    } else {
-      do {
-        const int lane = std::countr_zero(hit);
-        s.deliveries_b.push_back({v, static_cast<std::uint8_t>(lane), u,
-                                  round_payload_.at(lane, u)});
-        hit &= hit - 1;
-      } while (hit != 0);
-    }
+    timers_.traverse_ns += now_ns() - t0;
     return;
   }
-  // kMaxFold: max-combine straight into the knowledge planes — slices own
-  // disjoint listener intervals, so v's lane run is only ever touched by
-  // the worker running this slice.
-  Payload* const brow = round_best_.row(v);
-  const std::size_t bls = round_best_.lane_stride();
-  if (invariant) {
-    const Payload p = round_payload_.at(0, u);
-    do {
-      const int lane = std::countr_zero(hit);
-      Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-      if (b == kNoPayload || p > b) b = p;
-      hit &= hit - 1;
-    } while (hit != 0);
-  } else {
-    const Payload* const prow = round_payload_.row(u);
-    const std::size_t pls = round_payload_.lane_stride();
-    do {
-      const int lane = std::countr_zero(hit);
-      Payload& b = brow[static_cast<std::size_t>(lane) * bls];
-      const Payload p = prow[static_cast<std::size_t>(lane) * pls];
-      if (b == kNoPayload || p > b) b = p;
-      hit &= hit - 1;
-    } while (hit != 0);
-  }
-}
-
-void ShardedMedium::rowscan_batch(Slice& s, graph::NodeId v,
-                                  std::uint64_t win) {
-  // Clearing row scan: each won lane's unique sender is the only
-  // transmitting neighbour in it, so lanes clear as senders are found.
-  std::uint64_t left = win;
-  for (const graph::NodeId u : graph_->neighbors(v)) {
-    const std::uint64_t hit = left & round_mask_[u];
-    if (hit == 0) continue;
-    left &= ~hit;
-    sink_batch(s, v, u, hit);
-    if (left == 0) break;
-  }
-}
-
-void ShardedMedium::run_slice_batch_gather(Slice& s) {
-  // Listener-centric 64-lane gather over my interval: the bitslice kernel
-  // shape, one slice per work-stealing unit. Sender recovery (when the
-  // fold needs it) is fused — the re-walked row is L1-hot.
-  const std::uint64_t* const mask = round_mask_;
-  const std::uint64_t live = round_live_;
-  for (graph::NodeId v = s.lo; v < s.hi; ++v) {
-    std::uint64_t one = 0;
-    std::uint64_t two = 0;
-    const auto row = graph_->neighbors(v);
-    simd::gather_row(row.data(), row.size(), mask, live, one, two);
-    if (one == 0) continue;
-    const std::uint64_t win = emit_batch_listener(s, v, one, two);
-    if (win == 0 || fold_ == FoldMode::kMasksOnly) continue;
-    if (const_fold_) {
-      fold_const_batch(v, win);
-    } else {
-      rowscan_batch(s, v, win);
-    }
-  }
-}
-
-void ShardedMedium::run_slice_batch_scatter(Slice& s) {
-  // Saturating bitplane scatter from my pre-segmented row runs, then a
-  // drain over the touched listeners (first-touch order, which is
-  // txlist-row order — worker-independent). one_/two_ are all-zero
-  // between rounds; the drain restores that invariant.
-  const std::uint64_t live = round_live_;
-  s.touched.clear();
-  for (const SliceTx& t : s.tx) {
-    const std::uint64_t m = round_mask_[t.u] & live;
-    const auto row = graph_->neighbors(t.u);
-    for (std::uint32_t i = t.begin; i < t.end; ++i) {
-      const graph::NodeId v = row[i];
-      if (one_[v] == 0) s.touched.push_back(v);
-      two_[v] |= one_[v] & m;
-      one_[v] |= m;
-    }
-  }
-  for (const graph::NodeId v : s.touched) {
-    const std::uint64_t one = one_[v];
-    const std::uint64_t two = two_[v];
-    one_[v] = 0;
-    two_[v] = 0;
-    const std::uint64_t win = emit_batch_listener(s, v, one, two);
-    if (win == 0 || fold_ == FoldMode::kMasksOnly) continue;
-    if (const_fold_) {
-      fold_const_batch(v, win);
-    } else {
-      rowscan_batch(s, v, win);
-    }
-  }
-}
-
-void ShardedMedium::run_batch(std::span<const std::uint64_t> tx_mask,
-                              PayloadPlanes payload, int lanes,
-                              BatchOutcome& out, FoldMode mode,
-                              KnowledgePlanes best) {
-  const graph::NodeId n = graph_->node_count();
-  if (tx_mask.size() != n || payload.plane_size() != n) {
-    throw std::invalid_argument("ShardedMedium: size mismatch");
-  }
-  if (lanes < 1 || lanes > kMaxLanes || lanes > payload.lane_capacity()) {
-    throw std::invalid_argument("ShardedMedium: lanes out of range");
-  }
-  const std::uint64_t live = radio::lane_mask(lanes);
-  out.clear();
-  tx_tally_.reset();
-
-  const obs::TraceSpan trace_span("sharded.batch_round", "lanes",
-                                  static_cast<std::uint64_t>(lanes));
-  const std::uint64_t t0 = now_ns();
-  // Serial prologue: transmitter list, per-lane tallies, the
-  // traversal-volume estimate that picks the gather/scatter shape, and —
-  // for a lane-invariant max-fold — the constant-payload check that lets
-  // deliveries fold with no sender identification (see the bitslice
-  // backend's const-fold).
-  txlist_.clear();
-  std::uint64_t work = 0;
-  bool const_plane = mode == FoldMode::kMaxFold && payload.lane_invariant() &&
-                     recovery_ == RecoveryStrategy::kAuto;
-  Payload const_value = kNoPayload;
-  bool const_seen = false;
-  for (graph::NodeId u = 0; u < n; ++u) {
-    const std::uint64_t m = tx_mask[u] & live;
-    if (m == 0) continue;
-    tx_tally_.add(m);
-    txlist_.push_back(u);
-    work += graph_->degree(u);
-    if (const_plane) {
-      const Payload p = payload.at(0, u);
-      if (!const_seen) {
-        const_value = p;
-        const_seen = true;
-      } else if (p != const_value) {
-        const_plane = false;
-      }
-    }
-  }
-  tx_tally_.extract(out.transmitter_count, lanes);
-
-  const bool gather = work >= graph_->edge_count();
-  mode_ = gather ? RoundMode::kBatchGather : RoundMode::kBatchScatter;
-  fold_ = mode;
-  const_fold_ = const_plane;
-  const_value_ = const_value;
-  round_mask_ = tx_mask.data();
-  round_payload_ = payload;
-  round_best_ = best;
-  round_lanes_ = lanes;
-  round_live_ = live;
-  if (!gather) build_slice_tx();
   kick_and_wait();
-  // Slices fuse accumulation, emission, and recovery, so the prologue and
-  // the whole parallel section count as traversal; only the slice-ordered
-  // merge below is attributable to the output phase.
+  // Slices fuse accumulation, emission, and recovery, so the parallel
+  // section counts as traversal (once, in wall time on this thread, not
+  // summed over workers); only the slice-ordered merge below counts as
+  // the output phase.
   const std::uint64_t t1 = now_ns();
   timers_.traverse_ns += t1 - t0;
 
   // Deterministic merge: slice-index order, regardless of which worker ran
-  // which slice. Per-slice tallies extract into a zeroed scratch and SUM
-  // (LaneCounter::extract ORs bits, so it must not target the aggregate).
-  std::array<std::uint32_t, kMaxLanes> scratch;
-  std::uint32_t active = 0;
-  for (const auto& s : slices_) {
-    out.delivered.insert(out.delivered.end(), s.delivered_b.begin(),
-                         s.delivered_b.end());
-    if (mode == FoldMode::kSenders) {
-      out.deliveries.insert(out.deliveries.end(), s.deliveries_b.begin(),
-                            s.deliveries_b.end());
+  // which slice.
+  for (const Slice& s : slices_) {
+    out.delivered.insert(out.delivered.end(), s.out.delivered.begin(),
+                         s.out.delivered.end());
+    out.deliveries.insert(out.deliveries.end(), s.out.deliveries.begin(),
+                          s.out.deliveries.end());
+    out.collisions.insert(out.collisions.end(), s.out.collisions.begin(),
+                          s.out.collisions.end());
+    for (int l = 0; l < lanes_; ++l) {
+      out.delivered_count[l] += s.out.delivered_count[l];
+      out.collided_count[l] += s.out.collided_count[l];
     }
-    out.collisions.insert(out.collisions.end(), s.collisions_b.begin(),
-                          s.collisions_b.end());
-    active += s.active;
-    scratch.fill(0);
-    s.delivered_tally.extract(scratch, lanes);
-    for (int l = 0; l < lanes; ++l) out.delivered_count[l] += scratch[l];
-    scratch.fill(0);
-    s.collided_tally.extract(scratch, lanes);
-    for (int l = 0; l < lanes; ++l) out.collided_count[l] += scratch[l];
+    out.active_listeners += s.out.active_listeners;
   }
-  out.active_listeners = active;
-  timers_.active_listeners += active;
-  const std::uint64_t t2 = now_ns();
-  timers_.output_ns += t2 - t1;
-  static obs::Histogram& round_hist =
-      obs::Metrics::global().histogram("radio.sharded.round_ns");
-  round_hist.record(t2 - t0);
-  if (mode != FoldMode::kMasksOnly) {
-    if (const_fold_) {
-      ++timers_.constfold_rounds;
-    } else {
-      ++timers_.rowscan_rounds;
-    }
-  }
-  ++timers_.rounds;
-}
-
-void ShardedMedium::resolve_batch(std::span<const std::uint64_t> tx_mask,
-                                  PayloadPlanes payload, int lanes,
-                                  BatchOutcome& out, bool with_senders) {
-  run_batch(tx_mask, payload, lanes, out,
-            with_senders ? FoldMode::kSenders : FoldMode::kMasksOnly,
-            KnowledgePlanes(std::span<Payload>{}));
-}
-
-void ShardedMedium::resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                                      PayloadPlanes payload, int lanes,
-                                      KnowledgePlanes best,
-                                      BatchOutcome& out) {
-  if (best.plane_size() < graph_->node_count() ||
-      lanes > best.lane_capacity()) {
-    throw std::invalid_argument(
-        "ShardedMedium::resolve_batch_max: best too small");
-  }
-  run_batch(tx_mask, payload, lanes, out, FoldMode::kMaxFold, best);
-}
-
-void ShardedMedium::resolve(std::span<const graph::NodeId> transmitters,
-                            std::span<const Payload> tx_payload,
-                            SparseOutcome& out) {
-  if (transmitters.size() != tx_payload.size()) {
-    throw std::invalid_argument("ShardedMedium::resolve: size mismatch");
-  }
-  out.deliveries.clear();
-  out.collided_nodes.clear();
-  out.transmitter_count = 0;
-  out.collided_count = 0;
-  out.active_listeners = 0;
-
-  const obs::TraceSpan trace_span("sharded.round_scalar", "tx",
-                                  transmitters.size());
-  const std::uint64_t t0 = now_ns();
-  ++epoch_;
-  txlist_.clear();
-  std::uint64_t work = 0;
-  for (std::size_t i = 0; i < transmitters.size(); ++i) {
-    const graph::NodeId u = transmitters[i];
-    if (tx_stamp_[u] == epoch_) continue;
-    tx_stamp_[u] = epoch_;
-    payload_of_[u] = tx_payload[i];
-    txlist_.push_back(u);
-    work += graph_->degree(u);
-  }
-  out.transmitter_count = static_cast<std::uint32_t>(txlist_.size());
-  // The dense gather scans every listener's full row (2m edge visits in
-  // total), so it only beats the scatter's sum-of-transmitter-degrees
-  // volume once transmitters cover at least half of all adjacency.
-  const bool dense = work >= graph_->edge_count();
-  mode_ = dense ? RoundMode::kScalarDense : RoundMode::kScalarScatter;
-  if (!dense) build_slice_tx();
-  kick_and_wait();
-
-  // Slice resolution fuses accumulation and emission per slice, so the
-  // whole parallel section counts as traversal; only the merge below is
-  // attributable to the output phase.
-  const std::uint64_t t1 = now_ns();
-  timers_.traverse_ns += t1 - t0;
-
-  // Deterministic merge: slice-index order, regardless of which worker
-  // ran which slice.
-  for (const auto& s : slices_) {
-    out.deliveries.insert(out.deliveries.end(), s.deliveries.begin(),
-                          s.deliveries.end());
-    out.collided_nodes.insert(out.collided_nodes.end(), s.collided.begin(),
-                              s.collided.end());
-    out.collided_count += s.collided_count;
-    out.active_listeners += s.active;
-  }
-  timers_.active_listeners += out.active_listeners;
-  const std::uint64_t t2 = now_ns();
-  timers_.output_ns += t2 - t1;
-  static obs::Histogram& round_hist =
-      obs::Metrics::global().histogram("radio.sharded.round_ns");
-  round_hist.record(t2 - t0);
-  ++timers_.rounds;
+  timers_.output_ns += now_ns() - t1;
 }
 
 }  // namespace radiocast::radio

@@ -17,14 +17,12 @@
 // skew from uneven shard density is absorbed by stealing instead of
 // stalling the round on the slowest static shard.
 //
-// Each slice resolves all 64 lanes at once with the bitslice kernel shapes
-// (radio/simd.hpp gather rows, saturating bitplane adds, clearing row-scan
-// sender recovery), so the batch entry points no longer fall back to the
-// per-lane decomposition: one worker's slice pass is itself 64-way
-// bit-parallel. Scalar resolve() runs the same slice machinery with the
-// classic scalar kernels. RecoveryStrategy is accepted but, like the
-// frontier backend, does not change the path (senders are recovered by row
-// scan); outcomes are identical under every strategy.
+// Each slice runs the 64-lane bitplane kernel of radio/medium_bitslice.hpp
+// (gather rows, saturating scatter + drain, sender recovery at emission),
+// so a round is slices-across-workers x lanes-per-slice parallel. All
+// this backend adds is the slice layout, the pool, and the slice-ordered
+// merge; with one slice it computes exactly what BitsliceMedium does.
+// Scalar resolve() runs the same kernel with one lane.
 #pragma once
 
 #include <atomic>
@@ -35,12 +33,11 @@
 #include <thread>
 #include <vector>
 
-#include "radio/lane_counter.hpp"
-#include "radio/medium.hpp"
+#include "radio/medium_bitslice.hpp"
 
 namespace radiocast::radio {
 
-class ShardedMedium final : public Medium {
+class ShardedMedium final : public BitplaneMedium {
  public:
   /// `threads` is the worker count; 0 defers to the
   /// RADIOCAST_SHARD_THREADS environment variable when set (for hosts
@@ -55,96 +52,32 @@ class ShardedMedium final : public Medium {
   ~ShardedMedium() override;
 
   std::string_view name() const override { return "sharded"; }
-  /// Worker count (the historical name: one static shard per worker in the
-  /// pre-stealing design; tests pin it to the threads knob).
-  int shard_count() const { return worker_count_; }
+  /// Pool worker count (the threads knob after its defaults apply).
   int worker_count() const { return worker_count_; }
   /// Steal-granularity slice count (worker-count independent).
   int slice_count() const { return static_cast<int>(slices_.size()); }
 
-  void resolve(std::span<const graph::NodeId> transmitters,
-               std::span<const Payload> tx_payload,
-               SparseOutcome& out) override;
-
-  /// Batched entry points: every slice runs the 64-lane bitplane kernel,
-  /// so a round is slices-across-workers x lanes-per-slice parallel.
-  void resolve_batch(std::span<const std::uint64_t> tx_mask,
-                     PayloadPlanes payload, int lanes, BatchOutcome& out,
-                     bool with_senders = true) override;
-  void resolve_batch_max(std::span<const std::uint64_t> tx_mask,
-                         PayloadPlanes payload, int lanes,
-                         KnowledgePlanes best, BatchOutcome& out) override;
-
  private:
-  /// One transmitter's row segment inside a slice: row indices
-  /// [begin, end) of u's adjacency fall in the slice's listener interval.
-  /// Built serially per round (scatter-shaped rounds only) by walking each
-  /// transmitter's row once, so the parallel phase never binary-searches.
-  struct SliceTx {
-    graph::NodeId u;
-    std::uint32_t begin;
-    std::uint32_t end;
-  };
-
   struct Slice {
     graph::NodeId lo = 0;  // listener interval [lo, hi)
     graph::NodeId hi = 0;
-    std::vector<SliceTx> tx;  // this round's transmitters touching me
+    std::vector<Segment> segments;  // this round's transmitters touching me
+    std::uint64_t volume = 0;       // total segment length
     std::vector<graph::NodeId> touched;
-    std::uint32_t active = 0;
-    // Scalar outputs.
-    std::vector<SparseDelivery> deliveries;
-    std::vector<graph::NodeId> collided;
-    std::uint32_t collided_count = 0;
-    // Batch outputs.
-    std::vector<BatchDeliveredMask> delivered_b;
-    std::vector<BatchDelivery> deliveries_b;
-    std::vector<BatchCollision> collisions_b;
-    LaneCounter delivered_tally;
-    LaneCounter collided_tally;
+    BatchOutcome out;
   };
 
-  /// What this round's slices execute.
-  enum class RoundMode : std::uint8_t {
-    kScalarDense,    // scalar gather over own listeners
-    kScalarScatter,  // scalar scatter from slice tx lists
-    kBatchGather,    // 64-lane gather (simd::gather_row per listener)
-    kBatchScatter    // 64-lane saturating scatter + drain
-  };
-  enum class FoldMode : std::uint8_t { kMasksOnly, kSenders, kMaxFold };
+  /// Splits the prologue's whole-row segments at slice boundaries (scatter
+  /// rounds), runs the slices on the pool, and merges them in slice order.
+  void run_round(BatchOutcome& out) override;
+  void resolve_slice(std::size_t si);
 
-  void run_slice(std::size_t si);
-  void run_slice_scalar_dense(Slice& s);
-  void run_slice_scalar_scatter(Slice& s);
-  void run_slice_batch_gather(Slice& s);
-  void run_slice_batch_scatter(Slice& s);
-  /// Emits one listener's lane words into the slice buffers; returns the
-  /// win mask (counts the listener as active when one != 0).
-  std::uint64_t emit_batch_listener(Slice& s, graph::NodeId v,
-                                    std::uint64_t one, std::uint64_t two);
-  /// Folds one recovered (listener, sender, lane-hit) group per FoldMode.
-  void sink_batch(Slice& s, graph::NodeId v, graph::NodeId u,
-                  std::uint64_t hit);
-  /// Clearing row scan over v's row for its won lanes (deferred recovery
-  /// on the scatter shape).
-  void rowscan_batch(Slice& s, graph::NodeId v, std::uint64_t win);
-  /// Const-payload shortcut: fold const_value_ into v's won lanes with no
-  /// sender identification (see the bitslice const-fold).
-  void fold_const_batch(graph::NodeId v, std::uint64_t win);
+  /// Builds each slice's segment list by walking the transmitters' rows
+  /// once (node_slice_ gives the slice of a run's first entry; the run
+  /// ends at that slice's upper bound along the sorted row).
+  void build_segments();
 
-  /// Shared prologue of the batch entry points + the parallel phase + the
-  /// slice-ordered merge.
-  void run_batch(std::span<const std::uint64_t> tx_mask, PayloadPlanes payload,
-                 int lanes, BatchOutcome& out, FoldMode mode,
-                 KnowledgePlanes best);
-
-  /// Builds each slice's SliceTx list by walking txlist_ rows once
-  /// (node_slice_ gives O(1) slice lookup; segments emerge from slice
-  /// transitions along the sorted row).
-  void build_slice_tx();
-
-  /// Runs all slices across the pool (or inline when single-worker) and
-  /// waits for completion.
+  /// Runs all slices across the pool and waits for completion.
   void kick_and_wait();
   void worker_loop(std::size_t w);
   /// Own-deque pop (front) / steal (back) over the packed {lo,hi} range.
@@ -155,36 +88,6 @@ class ShardedMedium final : public Medium {
   std::vector<Slice> slices_;
   std::vector<std::uint32_t> node_slice_;  // node -> slice index
   int worker_count_ = 1;
-
-  // Round context: written serially before the parallel phase, read-only
-  // inside it.
-  RoundMode mode_ = RoundMode::kScalarDense;
-  FoldMode fold_ = FoldMode::kMasksOnly;
-  const std::uint64_t* round_mask_ = nullptr;
-  PayloadPlanes round_payload_{std::span<const Payload>{}};
-  KnowledgePlanes round_best_{std::span<Payload>{}};
-  std::uint64_t round_live_ = 0;
-  bool const_fold_ = false;
-  Payload const_value_ = kNoPayload;
-
-  // Scalar round state (stamp-versioned, listener-indexed; slices touch
-  // disjoint intervals, so workers share the arrays without locks).
-  std::vector<graph::NodeId> txlist_;
-  std::vector<std::uint64_t> tx_stamp_;
-  std::vector<Payload> payload_of_;
-  std::vector<std::uint64_t> stamp_;
-  std::vector<std::uint32_t> tx_count_;
-  std::vector<graph::NodeId> tx_from_;
-  std::vector<Payload> pending_payload_;
-  std::uint64_t epoch_ = 0;
-
-  // Batch round state: per-listener saturation words, all-zero between
-  // rounds (each slice's drain re-zeroes what its scatter dirtied).
-  std::vector<std::uint64_t> one_;
-  std::vector<std::uint64_t> two_;
-  LaneCounter tx_tally_;
-  int round_lanes_ = 1;
-
   // Work-stealing state: per-worker packed {next, end} slice ranges plus
   // the steal order (same topology group first).
   std::vector<std::atomic<std::uint64_t>> ranges_;

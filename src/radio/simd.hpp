@@ -1,4 +1,5 @@
-// Tiny SIMD layer for the bitplane batch kernel (radio/medium_bitslice.*).
+// Tiny SIMD layer for the bitplane batch kernel (radio/medium_bitslice.*)
+// and the Decay coin transpose.
 //
 // Everything here is a leaf bit-kernel over 64-bit plane words with a
 // portable scalar fallback. The AVX2 paths are compiled with a per-function
@@ -27,60 +28,6 @@ inline bool has_avx2() {
 #else
   return false;
 #endif
-}
-
-namespace detail {
-
-inline void xor_id_scalar(std::uint64_t* dst, std::uint64_t uid,
-                          std::uint64_t m, std::uint32_t idbits) {
-  for (std::uint32_t b = 0; b < idbits; ++b) {
-    dst[b] ^= (-(uid >> b & 1)) & m;
-  }
-}
-
-#if RADIOCAST_SIMD_AVX2
-__attribute__((target("avx2"))) inline void xor_id_avx2(
-    std::uint64_t* dst, std::uint64_t uid, std::uint64_t m,
-    std::uint32_t idbits) {
-  const __m256i vu = _mm256_set1_epi64x(static_cast<long long>(uid));
-  const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
-  const __m256i vone = _mm256_set1_epi64x(1);
-  __m256i shift = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i four = _mm256_set1_epi64x(4);
-  std::uint32_t b = 0;
-  for (; b + 4 <= idbits; b += 4) {
-    // -(bit b of uid) & m per word: shift the id right by the plane index,
-    // widen the low bit to an all-ones mask, gate the lane word.
-    const __m256i bits =
-        _mm256_and_si256(_mm256_srlv_epi64(vu, shift), vone);
-    const __m256i gate = _mm256_cmpeq_epi64(bits, vone);
-    const __m256i x = _mm256_and_si256(gate, vm);
-    const __m256i* src = reinterpret_cast<const __m256i*>(dst + b);
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(dst + b),
-        _mm256_xor_si256(_mm256_loadu_si256(src), x));
-    shift = _mm256_add_epi64(shift, four);
-  }
-  for (; b < idbits; ++b) dst[b] ^= (-(uid >> b & 1)) & m;
-}
-#endif
-
-}  // namespace detail
-
-/// Accumulates transmitter `uid` into a listener's sender-id XOR planes:
-/// dst[b] ^= m for every set bit b of uid, i.e. lane l of plane b picks up
-/// bit b of uid wherever lane l of the transmit mask m is set. XOR makes
-/// the planes self-cancelling: on a lane with exactly one transmitter the
-/// accumulated value IS that transmitter's id.
-inline void xor_id_accumulate(std::uint64_t* dst, std::uint64_t uid,
-                              std::uint64_t m, std::uint32_t idbits) {
-#if RADIOCAST_SIMD_AVX2
-  if (idbits >= 8 && has_avx2()) {
-    detail::xor_id_avx2(dst, uid, m, idbits);
-    return;
-  }
-#endif
-  detail::xor_id_scalar(dst, uid, m, idbits);
 }
 
 namespace detail {
@@ -169,24 +116,11 @@ inline void gather_row(const std::uint32_t* row, std::size_t len,
   detail::gather_row_scalar(row, len, tx_mask, lane_mask, one_out, two_out);
 }
 
-/// Reconstructs the id accumulated for `lane` from the sender-id planes:
-/// bit b of the result is bit `lane` of id[b]. Meaningful only for lanes
-/// with exactly one accumulated transmitter (XOR of one id is the id).
-inline std::uint64_t extract_id(const std::uint64_t* id, std::uint32_t idbits,
-                                int lane) {
-  std::uint64_t uid = 0;
-  for (std::uint32_t b = 0; b < idbits; ++b) {
-    uid |= (id[b] >> lane & 1) << b;
-  }
-  return uid;
-}
-
 /// In-place 64x64 bit-matrix transpose about the anti-diagonal (Hacker's
 /// Delight kernel with LSB-first rows and bits): afterwards bit (63-i) of
 /// a[63-j] equals bit j of the original a[i]. Callers flip both indices —
 /// load row 63-r, read row 63-c — to get the main-diagonal transpose for
-/// free; the lane-generic Decay coin transpose and the id-plane batch
-/// extraction both use it that way.
+/// free; the lane-generic Decay coin transpose uses it that way.
 inline void transpose64(std::array<std::uint64_t, 64>& a) {
   std::uint64_t m = 0x00000000FFFFFFFFULL;
   for (int j = 32; j != 0; j >>= 1, m ^= m << j) {

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -515,15 +516,17 @@ TEST(Report, JsonCarriesSchemaVersionFirst) {
 // Schema v3: timed points must carry the event-driven frontier backend's
 // counters AND the work-stealing pool counters (zero on other backends,
 // but always present, so consumers never probe for optional keys);
-// untimed points stay timing-free.
+// untimed points stay timing-free. The timed CSV row carries the same
+// medium phases, frontier's enqueue/drain included.
 TEST(Report, TimingBlockCarriesFrontierCounters) {
   EXPECT_EQ(kSchemaVersion, 3);
   PointMeta meta;
   meta.family = "gnp";
   Accumulator acc;
   radio::PhaseTimers phases;
-  phases.enqueue_ns = 7;
-  phases.drain_ns = 9;
+  phases.recover_ns = 3'000'000;
+  phases.enqueue_ns = 7'000'000;
+  phases.drain_ns = 9'000'000;
   phases.active_listeners = 11;
   phases.steal_attempts = 13;
   phases.steals = 5;
@@ -532,13 +535,33 @@ TEST(Report, TimingBlockCarriesFrontierCounters) {
   const util::Json j = point_json(meta, acc, /*timing=*/true);
   const util::Json* t = j.find("timing");
   ASSERT_NE(t, nullptr);
-  EXPECT_DOUBLE_EQ(t->find("enqueue_ns")->as_number(), 7.0);
-  EXPECT_DOUBLE_EQ(t->find("drain_ns")->as_number(), 9.0);
+  EXPECT_DOUBLE_EQ(t->find("enqueue_ns")->as_number(), 7e6);
+  EXPECT_DOUBLE_EQ(t->find("drain_ns")->as_number(), 9e6);
   EXPECT_DOUBLE_EQ(t->find("active_listeners")->as_number(), 11.0);
   EXPECT_DOUBLE_EQ(t->find("steal_attempts")->as_number(), 13.0);
   EXPECT_DOUBLE_EQ(t->find("steals")->as_number(), 5.0);
   EXPECT_DOUBLE_EQ(t->find("idle_ns")->as_number(), 17.0);
   EXPECT_EQ(point_json(meta, acc, /*timing=*/false).find("timing"), nullptr);
+
+  auto csv_cells = [&](bool timing) {
+    util::Table table(long_headers(timing));
+    add_long_row(table, meta, acc, timing);
+    std::map<std::string, std::string> cells;
+    std::istringstream csv(table.to_csv());
+    std::string header_line, row_line, h, c;
+    std::getline(csv, header_line);
+    std::getline(csv, row_line);
+    std::istringstream hs(header_line), rs(row_line);
+    while (std::getline(hs, h, ',') && std::getline(rs, c, ',')) cells[h] = c;
+    return cells;
+  };
+  const auto timed = csv_cells(true);
+  EXPECT_EQ(timed.at("recover_ms"), "3.0");
+  EXPECT_EQ(timed.at("enqueue_ms"), "7.0");
+  EXPECT_EQ(timed.at("drain_ms"), "9.0");
+  const auto untimed = csv_cells(false);
+  EXPECT_EQ(untimed.count("enqueue_ms"), 0u);
+  EXPECT_EQ(untimed.count("drain_ms"), 0u);
 }
 
 TEST(Report, DriverFallbackRespectsScenarioOwnedFiles) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -420,10 +421,10 @@ TEST(MediumBackends, ShardThreadsEnvOverride) {
   ASSERT_EQ(setenv("RADIOCAST_SHARD_THREADS", "5", 1), 0);
   {
     ShardedMedium m(g, CollisionModel::kNoDetection, /*threads=*/0);
-    EXPECT_EQ(m.shard_count(), 5);
+    EXPECT_EQ(m.worker_count(), 5);
     // An explicit thread count still wins over the environment.
     ShardedMedium explicit_m(g, CollisionModel::kNoDetection, 2);
-    EXPECT_EQ(explicit_m.shard_count(), 2);
+    EXPECT_EQ(explicit_m.worker_count(), 2);
   }
   unsetenv("RADIOCAST_SHARD_THREADS");
 }
@@ -507,17 +508,15 @@ TEST(MediumBackends, ReplicateBatchedMatchesReplicate) {
   }
 }
 
-// Tentpole differential: sender recovery must be a pure cost knob. For
-// every backend, both collision models, and 1/7/64 lanes, kRowScan and
-// kIdPlanes (and kAuto) must produce identical deliveries, delivered
-// masks, best[] planes, and tallies. Per-listener delivery order is
-// normalized (the row scan emits sender-major, the id planes lane-major).
+// Sender recovery must be a pure cost knob. For every backend, both
+// collision models, and 1/7/64 lanes, kRowScan and kAuto must produce
+// identical deliveries, delivered masks, best[] planes, and tallies.
+// Per-listener delivery order is normalized.
 TEST(MediumBackends, RecoveryStrategyDifferential) {
   util::Rng rng(81);
   const Graph gnp = graph::gnp(140, 0.06, rng);
   const Graph star = graph::star(60);
   constexpr RecoveryStrategy kStrategies[] = {RecoveryStrategy::kRowScan,
-                                              RecoveryStrategy::kIdPlanes,
                                               RecoveryStrategy::kAuto};
   auto sorted = [](std::vector<BatchDelivery> v) {
     std::sort(v.begin(), v.end(),
@@ -613,8 +612,11 @@ TEST(MediumBackends, RecoveryStrategyDifferential) {
   }
 }
 
-// The bitslice kernel must actually take both recovery paths when pinned
-// (the differential above would pass vacuously if a knob were ignored).
+// Both bitplane backends must actually take the path the strategy pins
+// (the differential above would pass vacuously if a knob were ignored):
+// kRowScan recovers every fold round by row scan, even over a constant
+// shared plane, while kAuto folds that plane with no sender
+// identification.
 TEST(MediumBackends, RecoveryStrategyPinsThePath) {
   util::Rng rng(82);
   const Graph g = graph::gnp(120, 0.08, rng);
@@ -626,39 +628,129 @@ TEST(MediumBackends, RecoveryStrategyPinsThePath) {
       if (rng.bernoulli(0.2)) tx_mask[v] |= std::uint64_t{1} << l;
     }
   }
-  for (const RecoveryStrategy strategy :
-       {RecoveryStrategy::kRowScan, RecoveryStrategy::kIdPlanes}) {
-    auto medium = make_medium(MediumKind::kBitslice, g,
-                              CollisionModel::kNoDetection, 0, strategy);
+  const std::vector<Payload> shared(n, 9);
+  for (const MediumKind kind : {MediumKind::kBitslice, MediumKind::kSharded}) {
+    SCOPED_TRACE(std::string(to_string(kind)));
+    auto medium = make_medium(kind, g, CollisionModel::kNoDetection, 2,
+                              RecoveryStrategy::kRowScan);
     BatchOutcome out;
     for (int round = 0; round < 5; ++round) {
       medium->resolve_batch(tx_mask, PayloadPlanes::lane_major(planes, n),
                             64, out);
     }
+    std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
+    medium->resolve_batch_max(tx_mask, shared, 64,
+                              KnowledgePlanes::lane_major(best, n), out);
     const PhaseTimers& t = medium->phase_timers();
-    EXPECT_EQ(t.rounds, 5u);
-    if (strategy == RecoveryStrategy::kRowScan) {
-      EXPECT_EQ(t.rowscan_rounds, 5u);
-      EXPECT_EQ(t.idplane_rounds, 0u);
-    } else {
-      EXPECT_EQ(t.idplane_rounds, 5u);
-      EXPECT_EQ(t.rowscan_rounds, 0u);
-    }
+    EXPECT_EQ(t.rounds, 6u);
+    EXPECT_EQ(t.rowscan_rounds, 6u);
+    EXPECT_EQ(t.constfold_rounds, 0u);
+    EXPECT_EQ(t.idplane_rounds, 0u);
     medium->reset_phase_timers();
     EXPECT_EQ(medium->phase_timers().rounds, 0u);
+
+    // kAuto's constant-plane fold shortcut is counted as a constfold round.
+    medium->set_recovery_strategy(RecoveryStrategy::kAuto);
+    medium->resolve_batch_max(tx_mask, shared, 64,
+                              KnowledgePlanes::lane_major(best, n), out);
+    EXPECT_EQ(medium->phase_timers().constfold_rounds, 1u);
+    EXPECT_EQ(medium->phase_timers().rowscan_rounds, 0u);
   }
-  // kAuto's constant-plane fold shortcut must be counted as neither.
-  auto medium = make_medium(MediumKind::kBitslice, g,
-                            CollisionModel::kNoDetection, 0,
-                            RecoveryStrategy::kAuto);
-  const std::vector<Payload> shared(n, 9);
-  std::vector<Payload> best(static_cast<std::size_t>(64) * n, kNoPayload);
-  BatchOutcome out;
-  medium->resolve_batch_max(tx_mask, shared, 64,
-                            KnowledgePlanes::lane_major(best, n), out);
-  EXPECT_EQ(medium->phase_timers().constfold_rounds, 1u);
-  EXPECT_EQ(medium->phase_timers().rowscan_rounds, 0u);
-  EXPECT_EQ(medium->phase_timers().idplane_rounds, 0u);
+}
+
+// Phase slots are wall time on the calling thread: on every backend,
+// traverse + output + recover + enqueue + drain fits inside the measured
+// wall time of the resolve calls, and `rounds` counts them. Sharded runs
+// with 4 workers over many slices too, so a slot that summed per-worker
+// times would overshoot the wall clock.
+TEST(MediumBackends, PhaseSlotsFitInsideWallTime) {
+  util::Rng rng(83);
+  const Graph g = graph::gnp(20000, 10.0 / 20000, rng);
+  const NodeId n = g.node_count();
+  constexpr int kLanes = 64;
+  std::vector<std::uint64_t> dense(n, 0);
+  std::vector<std::uint64_t> sparse(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (int l = 0; l < kLanes; ++l) {
+      if (rng.bernoulli(0.2)) dense[v] |= std::uint64_t{1} << l;
+      if (rng.bernoulli(0.002)) sparse[v] |= std::uint64_t{1} << l;
+    }
+  }
+  std::vector<ActiveTx> active;
+  std::vector<NodeId> tx;
+  for (NodeId v = 0; v < n; ++v) {
+    if (sparse[v] != 0) active.push_back({v, sparse[v]});
+    if (dense[v] & 1) tx.push_back(v);
+  }
+  const std::vector<Payload> tx_payload(tx.size(), 3);
+  std::vector<Payload> planes(static_cast<std::size_t>(kLanes) * n);
+  for (std::size_t i = 0; i < planes.size(); ++i) planes[i] = i % 97;
+  const auto payload = PayloadPlanes::node_major(planes, n);
+
+  struct Case {
+    const char* label;
+    std::unique_ptr<Medium> medium;
+  };
+  std::vector<Case> cases;
+  for (const MediumKind kind : {MediumKind::kScalar, MediumKind::kBitslice,
+                                MediumKind::kFrontier}) {
+    cases.push_back({to_string(kind).data(),
+                     make_medium(kind, g, CollisionModel::kDetection)});
+  }
+  cases.push_back({"sharded/w1", std::make_unique<ShardedMedium>(
+                                     g, CollisionModel::kDetection, 1, 64)});
+  cases.push_back({"sharded/w4", std::make_unique<ShardedMedium>(
+                                     g, CollisionModel::kDetection, 4, 64)});
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    Medium& m = *c.medium;
+    // Scalar batches decompose into one resolve() per lane, and its
+    // timers count those rounds.
+    const std::uint64_t per_batch =
+        m.name() == "scalar" ? static_cast<std::uint64_t>(kLanes) : 1;
+    std::uint64_t calls = 0;
+    std::uint64_t want_rounds = 0;
+    std::uint64_t wall_ns = 0;
+    auto timed = [&](std::uint64_t rounds, auto&& call) {
+      const auto t0 = std::chrono::steady_clock::now();
+      call();
+      wall_ns += static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
+      ++calls;
+      want_rounds += rounds;
+    };
+    BatchOutcome out;
+    SparseOutcome sout;
+    std::vector<Payload> best(static_cast<std::size_t>(kLanes) * n,
+                              kNoPayload);
+    const auto best_view = KnowledgePlanes::node_major(best, n);
+    for (int rep = 0; rep < 2; ++rep) {
+      timed(1, [&] { m.resolve(tx, tx_payload, sout); });
+      for (const auto* mask : {&dense, &sparse}) {
+        timed(per_batch,
+              [&] { m.resolve_batch(*mask, payload, kLanes, out); });
+        timed(per_batch, [&] {
+          m.resolve_batch(*mask, payload, kLanes, out, false);
+        });
+        timed(per_batch, [&] {
+          m.resolve_batch_max(*mask, payload, kLanes, best_view, out);
+        });
+      }
+      timed(per_batch,
+            [&] { m.resolve_batch_active(active, payload, kLanes, out); });
+      timed(per_batch, [&] {
+        m.resolve_batch_max_active(active, payload, kLanes, best_view, out);
+      });
+    }
+    const PhaseTimers& t = m.phase_timers();
+    const std::uint64_t slots = t.traverse_ns + t.output_ns + t.recover_ns +
+                                t.enqueue_ns + t.drain_ns;
+    EXPECT_GT(slots, 0u);
+    EXPECT_LE(slots, wall_ns) << "calls=" << calls;
+    EXPECT_EQ(t.rounds, want_rounds);
+  }
 }
 
 // Satellite regression: the single-lane resolve() adapter must not leak a
@@ -693,10 +785,19 @@ TEST(MediumBackends, DuplicateTransmittersRepeatedRoundsStayFresh) {
 TEST(MediumBackends, ParseRecoveryStrategy) {
   EXPECT_EQ(parse_recovery_strategy("auto"), RecoveryStrategy::kAuto);
   EXPECT_EQ(parse_recovery_strategy("rowscan"), RecoveryStrategy::kRowScan);
-  EXPECT_EQ(parse_recovery_strategy("idplanes"),
-            RecoveryStrategy::kIdPlanes);
+  EXPECT_EQ(to_string(RecoveryStrategy::kRowScan), "rowscan");
   EXPECT_THROW(parse_recovery_strategy("psychic"), std::invalid_argument);
-  EXPECT_EQ(to_string(RecoveryStrategy::kIdPlanes), "idplanes");
+  // The retired id-plane strategy is an unknown name now, and the error
+  // lists the legal values.
+  try {
+    parse_recovery_strategy("idplanes");
+    ADD_FAILURE() << "idplanes parsed";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("'idplanes' (expected auto | rowscan)"),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(MediumBackends, ParseKind) {

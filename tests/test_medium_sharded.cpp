@@ -174,15 +174,14 @@ TEST(MediumSharded, ForcedStealStaysDeterministic) {
 }
 
 // The slice layout is worker-count independent (that is WHY outcomes can
-// be), while shard_count keeps meaning the worker count.
+// be), while worker_count reports the threads knob.
 TEST(MediumSharded, SliceLayoutIndependentOfWorkers) {
   util::Rng grng(73);
   const Graph g = graph::gnp(200, 0.06, grng);
   ShardedMedium a(g, CollisionModel::kNoDetection, 1);
   ShardedMedium b(g, CollisionModel::kNoDetection, 7);
   EXPECT_EQ(a.slice_count(), b.slice_count());
-  EXPECT_EQ(a.shard_count(), 1);
-  EXPECT_EQ(b.shard_count(), 7);
+  EXPECT_EQ(a.worker_count(), 1);
   EXPECT_EQ(b.worker_count(), 7);
 
   // Explicit slice knob; capped at node count.
