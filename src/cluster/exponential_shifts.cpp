@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 #include "util/math.hpp"
@@ -42,23 +41,13 @@ struct QueueEntry {
   }
 };
 
-/// Region-aware neighbourhood predicate.
-struct Scope {
-  const std::vector<std::uint8_t>* mask = nullptr;
-  const std::vector<NodeId>* region = nullptr;
-  bool in_scope(NodeId v) const {
-    if (mask != nullptr && !(*mask)[v]) return false;
-    if (region != nullptr && (*region)[v] == graph::kInvalidNode) return false;
-    return true;
-  }
-  bool linked(NodeId u, NodeId v) const {
-    if (!in_scope(u) || !in_scope(v)) return false;
-    if (region != nullptr && (*region)[u] != (*region)[v]) return false;
-    return true;
-  }
-};
-
-Partition run_partition(const graph::Graph& g, double beta, const Scope& scope,
+/// The max-Dijkstra behind every Partition form. `in_scope(v)` says whether
+/// v takes part; `linked(u, w)` whether edge (u, w) counts, asked only for
+/// an in-scope u, so it need only test w (and a region-scoped run does one
+/// region compare per edge).
+template <typename InScope, typename Linked>
+Partition run_partition(const graph::Graph& g, double beta,
+                        const InScope& in_scope, const Linked& linked,
                         util::Rng& rng) {
   if (beta <= 0.0) {
     throw std::invalid_argument("partition: beta must be positive");
@@ -75,30 +64,37 @@ Partition run_partition(const graph::Graph& g, double beta, const Scope& scope,
   // A max-Dijkstra over keys delta_c - dist(c, v) assigns every node the
   // centre maximising the shifted distance (exactly the MPX rule). Shifts
   // are continuous so ties have probability zero; we still break ties
-  // deterministically (smaller centre id) for bit-reproducible runs.
-  std::priority_queue<QueueEntry> pq;
+  // deterministically (smaller centre id) for bit-reproducible runs. Tree
+  // parents also depend on the heap's order among equal (key, centre)
+  // entries, so the heap is std::push_heap/pop_heap over one vector
+  // reserved up front: the exact operation sequence of std::priority_queue.
+  std::vector<QueueEntry> heap;
+  heap.reserve(2 * static_cast<std::size_t>(n));
   std::vector<double> best_key(n, -std::numeric_limits<double>::infinity());
   for (NodeId v = 0; v < n; ++v) {
-    if (!scope.in_scope(v)) continue;
+    if (!in_scope(v)) continue;
     p.delta[v] = rng.exponential(beta);
     best_key[v] = p.delta[v];
-    pq.push({p.delta[v], v, v, v, 0});
+    heap.push_back({p.delta[v], v, v, v, 0});
+    std::push_heap(heap.begin(), heap.end());
   }
-  while (!pq.empty()) {
-    const QueueEntry e = pq.top();
-    pq.pop();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    const QueueEntry e = heap.back();
+    heap.pop_back();
     if (p.center[e.node] != graph::kInvalidNode) continue;  // settled
     if (e.key < best_key[e.node]) continue;                 // stale
     p.center[e.node] = e.center;
     p.dist_to_center[e.node] = e.hops;
     p.parent[e.node] = e.via;
     for (NodeId w : g.neighbors(e.node)) {
-      if (!scope.linked(e.node, w)) continue;
+      if (!linked(e.node, w)) continue;
       if (p.center[w] != graph::kInvalidNode) continue;
       const double key = e.key - 1.0;
       if (key > best_key[w]) {
         best_key[w] = key;
-        pq.push({key, w, e.center, e.node, e.hops + 1});
+        heap.push_back({key, w, e.center, e.node, e.hops + 1});
+        std::push_heap(heap.begin(), heap.end());
       }
     }
   }
@@ -108,7 +104,9 @@ Partition run_partition(const graph::Graph& g, double beta, const Scope& scope,
 }  // namespace
 
 Partition partition(const graph::Graph& g, double beta, util::Rng& rng) {
-  return run_partition(g, beta, Scope{}, rng);
+  return run_partition(
+      g, beta, [](NodeId) { return true; },
+      [](NodeId, NodeId) { return true; }, rng);
 }
 
 Partition partition_masked(const graph::Graph& g, double beta,
@@ -117,9 +115,9 @@ Partition partition_masked(const graph::Graph& g, double beta,
   if (mask.size() != g.node_count()) {
     throw std::invalid_argument("partition_masked: mask size mismatch");
   }
-  Scope s;
-  s.mask = &mask;
-  return run_partition(g, beta, s, rng);
+  return run_partition(
+      g, beta, [&mask](NodeId v) { return mask[v] != 0; },
+      [&mask](NodeId, NodeId w) { return mask[w] != 0; }, rng);
 }
 
 Partition partition_regions(const graph::Graph& g, double beta,
@@ -128,9 +126,10 @@ Partition partition_regions(const graph::Graph& g, double beta,
   if (region.size() != g.node_count()) {
     throw std::invalid_argument("partition_regions: region size mismatch");
   }
-  Scope s;
-  s.region = &region;
-  return run_partition(g, beta, s, rng);
+  return run_partition(
+      g, beta,
+      [&region](NodeId v) { return region[v] != graph::kInvalidNode; },
+      [&region](NodeId u, NodeId w) { return region[w] == region[u]; }, rng);
 }
 
 std::uint64_t precompute_rounds(std::uint32_t n, double beta) {

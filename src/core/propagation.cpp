@@ -2,12 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 
 #include "schedule/decay.hpp"
 #include "util/math.hpp"
 
 namespace radiocast::core {
+
+namespace {
+
+/// Rearranges [first, last) so that, for every rank r in the ascending
+/// list [r_lo, r_hi), position r - base holds the element a full sort by
+/// `less` would put there. Costs O(n log(#ranks)) instead of a sort's
+/// O(n log n).
+template <typename It, typename Less>
+void place_ranks(It first, It last, const std::uint32_t* r_lo,
+                 const std::uint32_t* r_hi, std::uint32_t base,
+                 const Less& less) {
+  if (r_lo == r_hi) return;
+  const std::uint32_t* mid = r_lo + (r_hi - r_lo) / 2;
+  const It nth = first + (*mid - base);
+  std::nth_element(first, nth, last, less);
+  place_ranks(first, nth, r_lo, mid, base, less);
+  place_ranks(nth + 1, last, mid + 1, r_hi, *mid + 1, less);
+}
+
+}  // namespace
 
 PropagationEngine::PropagationEngine(const Config& cfg)
     : g_(cfg.graph),
@@ -31,9 +52,11 @@ PropagationEngine::PropagationEngine(const Config& cfg)
   reached_.assign(n, 0);
   upval_.assign(n, radio::kNoPayload);
   snap_.assign(n, radio::kNoPayload);
-  foreign_at_.assign(n, 0);
-  tx_at_.assign(n, 0);
-  in_list_.assign(n, 0);
+  blocked_at_.assign(n, 0);
+  head_.assign(n, graph::kInvalidNode);
+  next_.assign(n, graph::kInvalidNode);
+  seq_.assign(n, 0);
+  is_active_.assign(n, 0);
 
   build_region_structures();
   index_.resize(scheds_.size());
@@ -105,14 +128,64 @@ void PropagationEngine::build_sched_index(std::size_t s) {
         idx.region_start[r] + cursor[idx.depth_start[r] + sched.depth(v)]++;
     idx.nodes[slot] = v;
   }
+
+  idx.boundary.assign((n + 63) / 64, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (region_of_[v] == graph::kInvalidNode || !sched.in_scope(v)) continue;
+    const NodeId c = sched.center(v);
+    for (NodeId w : g_->neighbors(v)) {
+      if (sched.center(w) != c) {
+        idx.boundary[v >> 6] |= std::uint64_t{1} << (v & 63);
+        break;
+      }
+    }
+  }
 }
 
-void PropagationEngine::mark_reached(NodeId v) {
+void PropagationEngine::mark_reached(NodeId v, NodeId center) {
+  seq_[v] = take_seq();
   reached_[v] = 1;
-  if (!in_list_[v]) {
-    in_list_[v] = 1;
-    reached_list_.push_back(v);
+  link(v, center);
+}
+
+void PropagationEngine::reset_reached(NodeId v, bool keep_center) {
+  // Every list of a region is headed at one of its members (fine clusters
+  // never span regions), so resetting all members empties them all. A
+  // centre that restarts the wave stays reached and keeps its sequence
+  // number, as the only member of its own list.
+  head_[v] = graph::kInvalidNode;
+  if (!keep_center) {
+    reached_[v] = 0;
+  } else if (reached_[v]) {
+    link(v, v);
+  } else {
+    mark_reached(v, v);
   }
+}
+
+void PropagationEngine::link(NodeId v, NodeId center) {
+  next_[v] = head_[center];
+  head_[center] = v;
+  if (!is_active_[center]) {
+    is_active_[center] = 1;
+    active_.push_back(center);
+  }
+}
+
+std::uint32_t PropagationEngine::take_seq() {
+  if (next_seq_ == std::numeric_limits<std::uint32_t>::max()) {
+    // Out of sequence numbers: only their order among the reached nodes
+    // matters, so renumber those 0..k-1.
+    std::vector<NodeId> order;
+    for (NodeId v = 0; v < reached_.size(); ++v) {
+      if (reached_[v]) order.push_back(v);
+    }
+    std::sort(order.begin(), order.end(),
+              [this](NodeId a, NodeId b) { return seq_[a] < seq_[b]; });
+    for (std::uint32_t k = 0; k < order.size(); ++k) seq_[order[k]] = k;
+    next_seq_ = static_cast<std::uint32_t>(order.size());
+  }
+  return next_seq_++;
 }
 
 void PropagationEngine::start_window(std::uint32_t region,
@@ -144,12 +217,10 @@ void PropagationEngine::begin_phase(std::uint32_t region, Phase phase,
       // wave at the centres (Algorithm 3 step 1).
       for (std::uint32_t i = lo; i < hi; ++i) {
         const NodeId v = member_[i];
-        reached_[v] = 0;
         upval_[v] = radio::kNoPayload;
-        if (sched.center(v) == v) {
-          snap_[v] = best[v];
-          if (best[v] != radio::kNoPayload) mark_reached(v);
-        }
+        const bool center = sched.center(v) == v;
+        if (center) snap_[v] = best[v];
+        reset_reached(v, center && best[v] != radio::kNoPayload);
       }
       break;
     case Phase::kInward:
@@ -171,10 +242,8 @@ void PropagationEngine::begin_phase(std::uint32_t region, Phase phase,
       // value.
       for (std::uint32_t i = lo; i < hi; ++i) {
         const NodeId v = member_[i];
-        reached_[v] = 0;
-        if (sched.center(v) == v && best[v] != radio::kNoPayload) {
-          mark_reached(v);
-        }
+        reset_reached(v,
+                      sched.center(v) == v && best[v] != radio::kNoPayload);
       }
       break;
   }
@@ -207,7 +276,10 @@ std::uint32_t PropagationEngine::transmit_depth(const RegionState& st) const {
 }
 
 void PropagationEngine::wave_round(std::vector<Payload>& best) {
-  ++round_id_;
+  if (++round_id_ == 0) {  // stamps wrapped: start them over
+    std::fill(blocked_at_.begin(), blocked_at_.end(), 0);
+    round_id_ = 1;
+  }
   tx_nodes_.clear();
   tx_payload_.clear();
   const bool colored =
@@ -262,19 +334,17 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
 
   if (!colored) {
     // ---- pipelined resolution: honest inter-cluster blocking -------------
-    for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
-      tx_at_[tx_nodes_[i]] = round_id_;
-    }
-    for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
-      const NodeId u = tx_nodes_[i];
-      const std::uint32_t ru = region_of_[u];
-      const schedule::TreeSchedule& su = *scheds_[rstate_[ru].choice.sched_index];
+    for (const NodeId u : tx_nodes_) blocked_at_[u] = round_id_;
+    for (const NodeId u : tx_nodes_) {
+      // Foreign to a neighbour w: a different fine cluster of u's schedule
+      // (which also covers a different region: fine clusters never span
+      // regions). Interior transmitters have no foreign neighbour.
+      const std::uint32_t s = rstate_[region_of_[u]].choice.sched_index;
+      if (!index_[s].on_boundary(u)) continue;
+      const schedule::TreeSchedule& su = *scheds_[s];
+      const NodeId cu = su.center(u);
       for (NodeId w : g_->neighbors(u)) {
-        // Foreign to w: different region (fine clusters never span
-        // regions), or a different fine cluster of the shared schedule.
-        if (region_of_[w] != ru || su.center(w) != su.center(u)) {
-          foreign_at_[w] = round_id_;
-        }
+        if (su.center(w) != cu) blocked_at_[w] = round_id_;
       }
     }
     for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
@@ -285,7 +355,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
       if (st.phase == Phase::kInward) {
         const NodeId p = sched.parent(u);
         if (p == u) continue;
-        if (foreign_at_[p] == round_id_ || tx_at_[p] == round_id_) {
+        if (blocked_at_[p] == round_id_) {
           ++stats_.wave_blocked;
           continue;
         }
@@ -296,7 +366,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
       } else {
         for (NodeId v : sched.children(u)) {
           if (sched.depth(v) > st.span) continue;
-          if (foreign_at_[v] == round_id_ || tx_at_[v] == round_id_) {
+          if (blocked_at_[v] == round_id_) {
             ++stats_.wave_blocked;
             continue;
           }
@@ -304,7 +374,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
             best[v] = tx_payload_[i];
           }
           if (!reached_[v]) {
-            mark_reached(v);
+            mark_reached(v, sched.center(v));
             ++stats_.wave_deliveries;
           }
         }
@@ -313,9 +383,6 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
   } else {
     // ---- colored resolution: the physical medium decides ------------------
     net_.resolve(tx_nodes_, tx_payload_, sparse_out_);
-    for (std::size_t i = 0; i < tx_nodes_.size(); ++i) {
-      tx_at_[tx_nodes_[i]] = round_id_;
-    }
     for (const auto& d : sparse_out_.deliveries) {
       const NodeId v = d.node;
       if (best[v] == radio::kNoPayload || d.payload > best[v]) {
@@ -333,7 +400,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
           ++stats_.wave_deliveries;
         }
       } else if (reached_[d.from] && !reached_[v]) {
-        mark_reached(v);
+        mark_reached(v, sched.center(v));
         ++stats_.wave_deliveries;
       }
     }
@@ -383,29 +450,43 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
   const double cluster_p = schedule::decay_probability(i);
   const double node_p = schedule::decay_probability(step_in_round);
 
-  // Compact the reached list lazily while collecting participants.
-  std::size_t w = 0;
-  for (std::size_t r = 0; r < reached_list_.size(); ++r) {
-    const NodeId v = reached_list_[r];
-    if (!reached_[v]) {
-      in_list_[v] = 0;  // stale entry from an earlier window
+  // Coordinated coin: one hash of (seed, epoch, i, centre) per cluster
+  // holding reached nodes; emptied lists leave the active set here.
+  const std::uint64_t round_key = util::mix_seed(seed_, epoch * 64 + i);
+  std::size_t kept = 0;
+  for (const NodeId c : active_) {
+    if (head_[c] == graph::kInvalidNode) {
+      is_active_[c] = 0;
       continue;
     }
-    reached_list_[w++] = v;
-    if (best[v] == radio::kNoPayload) continue;
-    const std::uint32_t rv = region_of_[v];
-    const schedule::TreeSchedule& sched =
-        *scheds_[rstate_[rv].choice.sched_index];
-    // Coordinated per-cluster coin.
-    std::uint64_t h = util::mix_seed(seed_, epoch * 64 + i);
-    h = util::mix_seed(h, sched.center(v));
-    const double u01 = static_cast<double>(h >> 11) * 0x1.0p-53;
-    if (u01 >= cluster_p) continue;
-    if (!rng.bernoulli(node_p)) continue;
-    tx_nodes_.push_back(v);
+    active_[kept++] = c;
+    ++stats_.bg_coins;
+    const std::uint64_t h = util::mix_seed(round_key, c);
+    if (static_cast<double>(h >> 11) * 0x1.0p-53 >= cluster_p) continue;
+    for (NodeId v = head_[c]; v != graph::kInvalidNode; v = next_[v]) {
+      if (best[v] != radio::kNoPayload) tx_nodes_.push_back(v);
+    }
+  }
+  active_.resize(kept);
+
+  // Node coins of the passing clusters' members: the j-th coin drawn is
+  // the j-th member's in the order they became reached. A coin does not
+  // depend on whose it is, so draw them all first, then bring only the
+  // winners' ranks into place; the winners transmit in that order.
+  stats_.bg_candidates += tx_nodes_.size();
+  wins_.clear();
+  for (std::uint32_t j = 0; j < tx_nodes_.size(); ++j) {
+    if (rng.bernoulli(node_p)) wins_.push_back(j);
+  }
+  place_ranks(tx_nodes_.begin(), tx_nodes_.end(), wins_.data(),
+              wins_.data() + wins_.size(), 0,
+              [this](NodeId a, NodeId b) { return seq_[a] < seq_[b]; });
+  for (std::size_t k = 0; k < wins_.size(); ++k) {
+    const NodeId v = tx_nodes_[wins_[k]];
+    tx_nodes_[k] = v;
     tx_payload_.push_back(best[v]);
   }
-  reached_list_.resize(w);
+  tx_nodes_.resize(wins_.size());
 
   if (!tx_nodes_.empty()) {
     net_.resolve(tx_nodes_, tx_payload_, sparse_out_);
@@ -423,7 +504,7 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
       // Same fine cluster: v now holds its cluster's message — the rescue
       // of Lemma 4.2 — and can also relay it up during inward passes.
       if (!reached_[v]) {
-        mark_reached(v);
+        mark_reached(v, sched.center(v));
         ++stats_.rescued;
       }
       if (upval_[v] == radio::kNoPayload || d.payload > upval_[v]) {

@@ -22,6 +22,16 @@
 // of the engine's own Decay background stream (Algorithm 4), so one step
 // consumes 2 physical rounds, 4 per Compete step across both engines,
 // matching the paper's alternating construction.
+//
+// A step costs what the paper's processes do, not O(n):
+//   * the wave visits this round's transmitting depth layer of each
+//     region; only transmitters with a neighbour in another fine cluster
+//     scan their neighbourhood for listeners they block;
+//   * the Decay stream keeps the reached nodes in per-fine-cluster lists,
+//     tosses one coordinated coin per cluster holding reached nodes, and
+//     draws node coins only for the members of clusters whose coin passed.
+// Pass boundaries reset a region's members, so every step also pays for
+// the regions whose pass ends in it.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +63,8 @@ struct PropagationStats {
   std::uint64_t wave_blocked = 0;      // hops lost to foreign transmitters
   std::uint64_t decay_deliveries = 0;
   std::uint64_t rescued = 0;           // risky nodes re-attached by decay
+  std::uint64_t bg_coins = 0;          // coordinated cluster coins drawn
+  std::uint64_t bg_candidates = 0;     // node coins drawn in passing clusters
 };
 
 class PropagationEngine {
@@ -102,8 +114,14 @@ class PropagationEngine {
     std::vector<std::uint32_t> region_start;  // size region_count+1
     std::vector<std::uint32_t> depth_start;   // per region: start into off_
     std::vector<std::uint32_t> off;           // flattened depth offsets
+    /// Bit v: v has a neighbour in another fine cluster (or out of
+    /// scope). Only such transmitters can block a foreign listener.
+    std::vector<std::uint64_t> boundary;
     std::uint32_t levels(std::uint32_t r) const {
       return depth_start[r + 1] - depth_start[r] - 1;
+    }
+    bool on_boundary(NodeId v) const {
+      return (boundary[v >> 6] >> (v & 63)) & 1;
     }
   };
   std::vector<SchedIndex> index_;
@@ -124,14 +142,27 @@ class PropagationEngine {
   std::vector<std::uint8_t> reached_;
   std::vector<Payload> upval_;
   std::vector<Payload> snap_;  // centre snapshot (entry used at centres)
-  std::vector<NodeId> reached_list_;  // compacted lazily (decay stream)
-  std::vector<std::uint8_t> in_list_; // membership flags for reached_list_
   bool started_ = false;
 
-  // round-stamped scratch
-  std::vector<std::uint64_t> foreign_at_;
-  std::vector<std::uint64_t> tx_at_;
-  std::uint64_t round_id_ = 0;
+  // ---- reached nodes by fine cluster (Decay background stream) ------------
+  // head_[c] starts an intrusive list (through next_) of the reached nodes
+  // whose centre under their region's current schedule is c. seq_[v] is
+  // when v became reached: node coins are drawn in that order. Sequence
+  // numbers are 32-bit; take_seq renumbers the reached nodes, in order,
+  // when they run out.
+  std::vector<NodeId> head_;
+  std::vector<NodeId> next_;
+  std::vector<std::uint32_t> seq_;
+  std::uint32_t next_seq_ = 0;
+  std::vector<NodeId> active_;  // centres whose list may be non-empty
+  std::vector<std::uint8_t> is_active_;
+  std::vector<std::uint32_t> wins_;  // ranks of this round's winning coins
+
+  // Round stamp of the pipelined wave: a listener is blocked when it
+  // transmits itself or hears a foreign-cluster transmitter. Eight bits;
+  // the stamps are cleared each time the round id wraps.
+  std::vector<std::uint8_t> blocked_at_;
+  std::uint8_t round_id_ = 0;
 
   std::vector<NodeId> tx_nodes_;
   std::vector<Payload> tx_payload_;
@@ -152,7 +183,12 @@ class PropagationEngine {
   void finish_inward(std::uint32_t region, std::vector<Payload>& best);
   void wave_round(std::vector<Payload>& best);
   void background_round(std::vector<Payload>& best, util::Rng& rng);
-  void mark_reached(NodeId v);
+  void mark_reached(NodeId v, NodeId center);
+  void reset_reached(NodeId v, bool keep_center);
+  void link(NodeId v, NodeId center);
+  std::uint32_t take_seq();
+
+  friend struct PropagationEngineProbe;  // tests: sequence-number renumbering
 
   /// Transmitting depth for a region this round, or kNoDepth when idle.
   static constexpr std::uint32_t kNoDepth = static_cast<std::uint32_t>(-1);

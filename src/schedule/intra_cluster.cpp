@@ -278,14 +278,14 @@ std::uint32_t DecayBackground::step(radio::Network& net,
   participate_scratch_.assign(n, 0);
   payload_scratch_.assign(n, radio::kNoPayload);
   const double coin_p = decay_probability(i);
+  // Coordinated per-cluster coin: deterministic hash of
+  // (seed, window, epoch, i, centre) -> [0,1).
+  const std::uint64_t round_key =
+      util::mix_seed(util::mix_seed(seed_, window_id_), epoch * 64 + i);
   for (NodeId v = 0; v < n; ++v) {
     if (!reached[v] || !sched_->in_scope(v)) continue;
     if (best[v] == radio::kNoPayload) continue;
-    // Coordinated per-cluster coin: deterministic hash of
-    // (seed, window, epoch, i, centre) -> [0,1).
-    std::uint64_t h = util::mix_seed(seed_, window_id_);
-    h = util::mix_seed(h, epoch * 64 + i);
-    h = util::mix_seed(h, sched_->center(v));
+    const std::uint64_t h = util::mix_seed(round_key, sched_->center(v));
     const double u01 =
         static_cast<double>(h >> 11) * 0x1.0p-53;  // 53-bit mantissa
     if (u01 >= coin_p) continue;

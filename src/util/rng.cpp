@@ -5,21 +5,6 @@
 
 namespace radiocast::util {
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
-}
-
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
-  // Two rounds of splitmix over the concatenation-ish combination; enough to
-  // decorrelate seed/stream lattices in practice.
-  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
-  (void)splitmix64(s);
-  return splitmix64(s);
-}
-
 namespace {
 inline std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));

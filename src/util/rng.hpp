@@ -16,11 +16,23 @@
 namespace radiocast::util {
 
 /// splitmix64 step; used for seeding and as a cheap stateless mixer.
-std::uint64_t splitmix64(std::uint64_t& state);
+inline std::uint64_t splitmix64(std::uint64_t& state) {
+  std::uint64_t z = (state += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
 
 /// Mix a seed with a stream identifier into an independent-looking seed.
-/// Used to derive per-node / per-phase sub-streams deterministically.
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream);
+/// Used to derive per-node / per-phase sub-streams deterministically, and
+/// in the inner loops that hash coordinated coins, hence inline.
+inline std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t stream) {
+  // Two rounds of splitmix over the concatenation-ish combination; enough
+  // to decorrelate seed/stream lattices in practice.
+  std::uint64_t s = seed ^ (0x9E3779B97F4A7C15ULL * (stream + 1));
+  (void)splitmix64(s);
+  return splitmix64(s);
+}
 
 /// xoshiro256** generator with a std::uniform_random_bit_generator-compatible
 /// interface plus the handful of distributions the simulator needs.

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
+#include "core/leader_election.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "sim/instances.hpp"
 
 namespace radiocast::core {
 namespace {
@@ -192,6 +197,97 @@ INSTANTIATE_TEST_SUITE_P(
     FamiliesSeeds, CompeteFamilies,
     ::testing::Combine(::testing::Range(0, 10),
                        ::testing::Values(1u, 2u, 3u)));
+
+// Golden outcomes: a hash over everything a Compete run reports (rounds,
+// informed count, success, every PropagationStats field of both engines,
+// the final knowledge vector) on four instance families under the
+// pipelined and coloured schedules and both background ablations, plus
+// four leader elections. Any change to an outcome, an RNG draw or a
+// counter changes a hash; a change that means to do so must re-pin them.
+struct Fnv64 {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  void add(std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  }
+  void add(const PropagationStats& s) {
+    add(s.main_rounds);
+    add(s.background_rounds);
+    add(s.windows_started);
+    add(s.wave_deliveries);
+    add(s.wave_blocked);
+    add(s.decay_deliveries);
+    add(s.rescued);
+  }
+  /// The hash as a C++ literal, for re-pinning.
+  std::string literal() const {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "0x%016llXULL",
+                  static_cast<unsigned long long>(h));
+    return buf;
+  }
+};
+
+TEST(Compete, GoldenOutcomes) {
+  const sim::Instance instances[] = {
+      sim::make_rgg_instance(3000, 0.04, std::uint64_t{11}),
+      sim::make_gnp_instance(3000, 8.0 / 2999.0, std::uint64_t{12}),
+      sim::make_cliquepath_instance(600, 40),
+      sim::make_grid_instance(40, 50),
+  };
+  const char* variants[] = {"pipelined", "colored", "no-icp", "no-bg"};
+  // expected[instance][variant], each over seeds 1..4.
+  const std::uint64_t expected[4][4] = {
+      {0xCD213E0EFBCD028FULL, 0x91EFAACFAE0755A3ULL,
+       0x0D66696CC9A635B4ULL, 0xE697E70A00FE5CC0ULL},
+      {0x061306B51E445212ULL, 0xB31C7C78938AB86BULL,
+       0x9DD387C1B1A8A094ULL, 0x2D8B8CD65792D838ULL},
+      {0x3DF7C89806FADD2CULL, 0x0A31C903AF84A206ULL,
+       0xDD79842299EE29C2ULL, 0xAB9D02D803F39E10ULL},
+      {0xD7FFF929C9CC1D51ULL, 0x326FD8CF8F088A74ULL,
+       0xF3BD6988D9417843ULL, 0x92A2196D9A202BFCULL},
+  };
+  for (int i = 0; i < 4; ++i) {
+    const sim::Instance& inst = instances[i];
+    const graph::NodeId n = inst.g.node_count();
+    const std::vector<CompeteSource> sources{{0, 7}, {n / 2, 11}};
+    for (int v = 0; v < 4; ++v) {
+      CompeteParams p;
+      if (v == 1) p.mode = schedule::ScheduleMode::kColored;
+      if (v == 2) p.enable_icp_background = false;
+      if (v == 3) p.enable_background = false;
+      Fnv64 h;
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        const auto r = compete(inst.g, inst.diameter, sources, p, seed);
+        h.add(r.rounds);
+        h.add(r.informed);
+        h.add(r.success ? 1 : 0);
+        h.add(r.main_stats);
+        h.add(r.background_stats);
+        for (const radio::Payload b : r.best) h.add(b);
+      }
+      EXPECT_EQ(h.h, expected[i][v])
+          << inst.name << " / " << variants[v] << ": got " << h.literal();
+    }
+  }
+  Fnv64 h;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    // Two elections on the rgg, two on the clique path.
+    const sim::Instance& inst = instances[seed <= 2 ? 0 : 2];
+    const auto r = elect_leader(inst.g, inst.diameter, {}, seed);
+    h.add(r.success ? 1 : 0);
+    h.add(r.rounds);
+    h.add(r.precompute_rounds_charged);
+    h.add(r.leader);
+    h.add(r.candidate_count);
+    h.add(r.ids_unique ? 1 : 0);
+    h.add(r.agreeing);
+  }
+  EXPECT_EQ(h.h, 0xF46ED96492D1C69AULL)
+      << "leader elections: got " << h.literal();
+}
 
 }  // namespace
 }  // namespace radiocast::core

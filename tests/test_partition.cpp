@@ -10,6 +10,7 @@
 #include "cluster/partition_stats.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "sim/instances.hpp"
 #include "util/math.hpp"
 
 namespace radiocast::cluster {
@@ -198,6 +199,43 @@ TEST(Partition, DenseIdsAreDenseAndConsistent) {
   for (std::size_t i = 0; i < d.center_of_id.size(); ++i) {
     EXPECT_EQ(d.id_of_node[d.center_of_id[i]], i);
   }
+}
+
+// Golden clusterings: a hash of centre, parent and distance of every node
+// for the whole-graph, region-scoped and masked forms. Parents depend on
+// the heap's pop order among equal (key, centre) entries, so this pins the
+// Dijkstra's exact operation sequence, not just the MPX assignment.
+std::uint64_t partition_hash(const Partition& p) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  auto add = [&h](std::uint64_t x) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (x >> (8 * b)) & 0xFF;
+      h *= 0x100000001B3ULL;
+    }
+  };
+  for (graph::NodeId v = 0; v < p.node_count(); ++v) {
+    add(p.center[v]);
+    add(p.parent[v]);
+    add(p.dist_to_center[v]);
+  }
+  return h;
+}
+
+TEST(Partition, GoldenClusterings) {
+  const sim::Instance inst =
+      sim::make_rgg_instance(3000, 0.04, std::uint64_t{11});
+  const graph::Graph& g = inst.g;
+  util::Rng rng(2024);
+  const Partition whole = partition(g, 0.5, rng);
+  const Partition coarse = partition(g, 0.05, rng);
+  const Partition fine = partition_regions(g, 0.608, coarse.center, rng);
+  std::vector<std::uint8_t> mask(g.node_count());
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) mask[v] = v % 7 != 0;
+  const Partition masked = partition_masked(g, 0.2, mask, rng);
+  EXPECT_EQ(partition_hash(whole), 0x44B92C0E2DDE3E78ULL);
+  EXPECT_EQ(partition_hash(coarse), 0x200C7177A7A62B9AULL);
+  EXPECT_EQ(partition_hash(fine), 0xE20F6490898686D1ULL);
+  EXPECT_EQ(partition_hash(masked), 0x804312682B1A851DULL);
 }
 
 TEST(Partition, PrecomputeRoundsFormula) {

@@ -4,11 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cluster/exponential_shifts.hpp"
 #include "graph/generators.hpp"
 #include "schedule/bfs_schedule.hpp"
 
 namespace radiocast::core {
+
+/// Test access to the engine's sequence-number counter.
+struct PropagationEngineProbe {
+  static void set_next_seq(PropagationEngine& e, std::uint32_t next) {
+    e.next_seq_ = next;
+  }
+};
+
 namespace {
 
 using radio::kNoPayload;
@@ -138,6 +148,79 @@ TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
   }
   // Coverage is capped by the curtail: exactly nodes 0..3.
   EXPECT_EQ(covered_prev, 4u);
+}
+
+TEST(PropagationEngine, BackgroundWorkCounters) {
+  PathFixture fx(12);
+  PropagationEngine eng(fx.config(/*hops=*/3, /*background=*/true));
+  std::vector<Payload> best(12, kNoPayload);
+  util::Rng rng(8);
+  // Nothing known, nothing reached: the Decay stream draws no coin at all.
+  eng.step(best, rng);
+  EXPECT_EQ(eng.stats().bg_coins, 0u);
+  EXPECT_EQ(eng.stats().bg_candidates, 0u);
+  // The centre learns a value; the window's third pass (which starts
+  // after step 6's wave round) re-seeds the wave there. From then on the
+  // single cluster tosses exactly one coordinated coin per round.
+  best[0] = 42;
+  util::Rng reference = rng;
+  for (int i = 1; i < 200; ++i) eng.step(best, rng);
+  EXPECT_EQ(eng.stats().background_rounds, 200u);
+  EXPECT_EQ(eng.stats().bg_coins, 195u);
+  EXPECT_EQ(eng.stats().bg_candidates, 103u);
+  // Each node coin is one draw from the caller's stream, and nothing else
+  // in the engine draws from it.
+  for (std::uint64_t k = 0; k < eng.stats().bg_candidates; ++k) reference();
+  EXPECT_EQ(reference(), rng());
+}
+
+TEST(PropagationEngine, SequenceNumbersRenumberWithoutChangingOutcomes) {
+  // Node coins are drawn in reach order, kept as 32-bit sequence numbers.
+  // An engine whose counter starts just below the limit renumbers mid-run
+  // and must behave exactly like one that starts at zero.
+  const graph::Graph g = graph::grid(12, 12);
+  const graph::NodeId n = g.node_count();
+  cluster::Partition regions;
+  regions.beta = 1.0;
+  regions.center.assign(n, 0);
+  regions.dist_to_center.assign(n, 0);
+  regions.parent.assign(n, 0);
+  regions.delta.assign(n, 0.0);
+  util::Rng part_rng(9);
+  const cluster::Partition fine = cluster::partition(g, 0.5, part_rng);
+  const schedule::TreeSchedule sched(g, fine,
+                                     schedule::ScheduleMode::kPipelined);
+  PropagationEngine::Config cfg;
+  cfg.graph = &g;
+  cfg.regions = &regions;
+  cfg.scheds = {&sched};
+  cfg.choose = [](graph::NodeId, std::uint64_t) { return WindowChoice{0, 6}; };
+  cfg.seed = 11;
+
+  PropagationEngine fresh(cfg);
+  PropagationEngine wrapping(cfg);
+  PropagationEngineProbe::set_next_seq(
+      wrapping, std::numeric_limits<std::uint32_t>::max() - 40);
+  std::vector<Payload> a(n, kNoPayload);
+  a[0] = 3;
+  a[77] = 9;
+  std::vector<Payload> b = a;
+  util::Rng rng_a(12), rng_b(12);
+  for (int i = 0; i < 400; ++i) {
+    fresh.step(a, rng_a);
+    wrapping.step(b, rng_b);
+  }
+  EXPECT_EQ(a, b);
+  const PropagationStats& sa = fresh.stats();
+  const PropagationStats& sb = wrapping.stats();
+  EXPECT_GT(sa.bg_candidates, 0u);
+  EXPECT_EQ(sa.bg_candidates, sb.bg_candidates);
+  EXPECT_EQ(sa.bg_coins, sb.bg_coins);
+  EXPECT_EQ(sa.decay_deliveries, sb.decay_deliveries);
+  EXPECT_EQ(sa.rescued, sb.rescued);
+  EXPECT_EQ(sa.wave_deliveries, sb.wave_deliveries);
+  EXPECT_EQ(sa.wave_blocked, sb.wave_blocked);
+  EXPECT_EQ(rng_a(), rng_b());
 }
 
 TEST(PropagationEngine, InvalidConfigThrows) {

@@ -211,5 +211,21 @@ TEST(Splitmix64, KnownGolden) {
   EXPECT_EQ(first, 0xE220A8397B1DCDAFULL);
 }
 
+TEST(MixSeed, KnownAnswers) {
+  // Captured from the reference implementation; the coordinated coins of
+  // the Decay background streams and every derived replication seed hang
+  // off these values.
+  EXPECT_EQ(mix_seed(0, 0), 0x06C45D188009454FULL);
+  EXPECT_EQ(mix_seed(1, 0), 0x382FF84CB27281E9ULL);
+  EXPECT_EQ(mix_seed(12345, 67), 0x0E7440A670D0A3E1ULL);
+  EXPECT_EQ(mix_seed(0xFFFFFFFFFFFFFFFFULL, 0xFFFFFFFFFFFFFFFFULL),
+            0xE99FF867DBF682C9ULL);
+  EXPECT_EQ(mix_seed(0xDEADBEEFCAFEF00DULL, 64 * 3 + 5), 0x8485D825EAB6FFFEULL);
+  std::uint64_t state = 0x0123456789ABCDEFULL;
+  EXPECT_EQ(splitmix64(state), 0x157A3807A48FAA9DULL);
+  EXPECT_EQ(splitmix64(state), 0xD573529B34A1D093ULL);
+  EXPECT_EQ(state, 0x3D9238DA8840C619ULL);
+}
+
 }  // namespace
 }  // namespace radiocast::util
