@@ -195,5 +195,52 @@ TEST(Icp, EmptyCentersProduceNoTraffic) {
   for (auto b : best) EXPECT_EQ(b, kNoPayload);
 }
 
+// Pins whole windows without the background stream (no coin is drawn, so
+// the outcome is a pure function of graph, partition and mode) over a grid
+// of families, betas, partition seeds and both schedule modes: the hash
+// folds `best`, rounds and blocked hops, plus deliveries in colored mode.
+TEST(Icp, WindowGoldenWithoutBackground) {
+  util::Rng gen(15);
+  std::vector<graph::Graph> graphs;
+  graphs.push_back(graph::grid(30, 30));
+  graphs.push_back(graph::random_geometric(1500, 0.05, gen));
+  graphs.push_back(graph::path_of_cliques(40, 8));
+  std::uint64_t h = 0;
+  for (const graph::Graph& g : graphs) {
+    const graph::NodeId n = g.node_count();
+    for (double beta : {0.1, 0.2, 0.4}) {
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        util::Rng prng(seed);
+        const Partition p = partition(g, beta, prng);
+        for (ScheduleMode mode :
+             {ScheduleMode::kPipelined, ScheduleMode::kColored}) {
+          const TreeSchedule sched(g, p, mode);
+          radio::Network net(g);
+          std::vector<Payload> best(n, kNoPayload);
+          for (graph::NodeId v = 0; v < n; ++v) {
+            if (p.is_center(v)) {
+              best[v] = 100 + v;
+            } else if (v % 7 == 0) {
+              best[v] = 5000 + v;
+            }
+          }
+          IcpParams params;
+          params.pass_hops = 1 + static_cast<std::uint32_t>(10 / beta);
+          params.with_background = false;
+          util::Rng rng(seed);
+          const auto stats = run_icp_window(net, sched, best, params, rng);
+          for (Payload b : best) h = util::mix_seed(h, b);
+          h = util::mix_seed(h, stats.rounds);
+          h = util::mix_seed(h, stats.blocked);
+          if (mode == ScheduleMode::kColored) {
+            h = util::mix_seed(h, stats.deliveries);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(h, 0xf108bf4579d33ab1ull);
+}
+
 }  // namespace
 }  // namespace radiocast::schedule
