@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "cluster/exponential_shifts.hpp"
-#include "schedule/intra_cluster.hpp"
+#include "core/propagation.hpp"
 #include "sim/instances.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -34,26 +34,26 @@ RADIOCAST_SCENARIO(schedule_distance, "schedule-distance",
       p.dist_to_center[v] = v;
       p.parent[v] = v == 0 ? 0 : v - 1;
     }
-    schedule::IcpParams params;
+    core::IcpParams params;
     params.pass_hops = ell;
     params.with_background = false;
     // pipelined
     const schedule::TreeSchedule sp(g, p, schedule::ScheduleMode::kPipelined);
-    radio::Network net1(g);
     std::vector<radio::Payload> best1(n, radio::kNoPayload);
     best1[0] = 1;
-    const auto s1 = schedule::run_icp_window(net1, sp, best1, params, rng);
+    const auto s1 = core::run_icp_window(g, sp, best1, params, rng);
     // colored
     const schedule::TreeSchedule sc(g, p, schedule::ScheduleMode::kColored);
-    radio::Network net2(g);
     std::vector<radio::Payload> best2(n, radio::kNoPayload);
     best2[0] = 1;
-    const auto s2 = schedule::run_icp_window(net2, sc, best2, params, rng);
+    const auto s2 = core::run_icp_window(g, sc, best2, params, rng);
+    const std::uint64_t rounds1 = s1.main_rounds + s1.background_rounds;
+    const std::uint64_t rounds2 = s2.main_rounds + s2.background_rounds;
     t.row()
         .add(std::uint64_t{ell})
-        .add(s1.rounds, 0)
-        .add(static_cast<double>(s1.rounds) / ell, 2)
-        .add(s2.rounds, 0)
+        .add(rounds1, 0)
+        .add(static_cast<double>(rounds1) / ell, 2)
+        .add(rounds2, 0)
         .add(std::uint64_t{sc.period()});
   }
   ctx.emit(t, "E10a: schedule rounds-to-distance (one window = 3 passes)",

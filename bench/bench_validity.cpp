@@ -14,7 +14,7 @@
 
 #include "cluster/exponential_shifts.hpp"
 #include "cluster/partition_stats.hpp"
-#include "schedule/intra_cluster.hpp"
+#include "core/propagation.hpp"
 #include "sim/instances.hpp"
 #include "sim/runner.hpp"
 #include "sim/scenario.hpp"
@@ -65,19 +65,18 @@ RADIOCAST_SCENARIO(validity, "validity",
             for (int bg = 0; bg < 2; ++bg) {
               const schedule::TreeSchedule sched(
                   inst.g, p, schedule::ScheduleMode::kPipelined);
-              radio::Network net(inst.g);
               std::vector<radio::Payload> best(inst.g.node_count(),
                                                radio::kNoPayload);
               for (graph::NodeId v = 0; v < inst.g.node_count(); ++v) {
                 if (p.is_center(v)) best[v] = 100;
               }
-              schedule::IcpParams params;
+              core::IcpParams params;
               params.pass_hops = ell;
               params.with_background = bg == 1;
               params.seed = util::mix_seed(s, bg);
               params.window_id = static_cast<std::uint32_t>(rep);
               const auto wstats =
-                  schedule::run_icp_window(net, sched, best, params, rep_rng);
+                  core::run_icp_window(inst.g, sched, best, params, rep_rng);
               std::uint32_t in_radius = 0, got = 0;
               for (graph::NodeId v = 0; v < inst.g.node_count(); ++v) {
                 if (p.dist_to_center[v] <= ell) {

@@ -132,6 +132,17 @@ Partition partition_regions(const graph::Graph& g, double beta,
       [&region](NodeId u, NodeId w) { return region[w] == region[u]; }, rng);
 }
 
+Partition trivial_partition(const graph::Graph& g) {
+  Partition p;
+  const NodeId n = g.node_count();
+  p.beta = 1.0;
+  p.center.assign(n, 0);
+  p.dist_to_center.assign(n, 0);
+  p.parent.assign(n, 0);
+  p.delta.assign(n, 0.0);
+  return p;
+}
+
 std::uint64_t precompute_rounds(std::uint32_t n, double beta) {
   const double logn = util::safe_log2(static_cast<double>(n));
   return static_cast<std::uint64_t>(std::ceil(logn * logn * logn / beta));

@@ -15,7 +15,7 @@
 // The radio-network distributed implementation costs O(log^3 n / beta)
 // rounds (Lemma 2.1); we compute the partition centrally with the *exact*
 // random process and charge that round cost via `precompute_rounds` (see
-// DESIGN.md "fidelity decisions" #1).
+// README "Fidelity decisions", charged precompute).
 #pragma once
 
 #include <cstdint>
@@ -79,6 +79,12 @@ Partition partition_masked(const graph::Graph& g, double beta,
 Partition partition_regions(const graph::Graph& g, double beta,
                             const std::vector<NodeId>& region,
                             util::Rng& rng);
+
+/// The one-region partition: every node in the cluster of node 0. It is
+/// the "coarse" layer of PropagationEngine runs that have no coarse
+/// clustering (Compete's background process, standalone ICP windows); its
+/// depths and parents are placeholders, not a BFS tree.
+Partition trivial_partition(const graph::Graph& g);
 
 /// Number of rounds the distributed radio-network implementation of
 /// Partition(beta) would cost (Lemma 2.1: O(log^3 n / beta)); used by the

@@ -67,7 +67,7 @@ class Hierarchy {
 
   /// Total rounds the distributed precomputation of the whole hierarchy
   /// would cost (Lemma 2.1 clusterings + Lemma 2.3 schedules + sequence
-  /// dissemination; see DESIGN.md fidelity note 1).
+  /// dissemination; see README "Fidelity decisions", charged precompute).
   std::uint64_t charged_precompute_rounds() const { return charged_rounds_; }
 
  private:

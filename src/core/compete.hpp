@@ -20,7 +20,8 @@
 // Round accounting: `rounds` counts the simulated propagation rounds across
 // all interleaved streams; the distributed precomputation (clusterings,
 // schedules, sequence dissemination — Algorithm 1 steps 1-6) is charged
-// analytically in `precompute_rounds_charged` (DESIGN.md fidelity note 1).
+// analytically in `precompute_rounds_charged` (README "Fidelity
+// decisions", charged precompute).
 #pragma once
 
 #include <cstdint>

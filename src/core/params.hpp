@@ -4,7 +4,8 @@
 // [0.01 log D, 0.1 log D], D^0.2 fine clusterings, D^0.99 sequence length,
 // curtail O(log n / (beta log D))) that only separate asymptotically; the
 // defaults below keep the paper's values, and every experiment that scales
-// them down documents the substitution (DESIGN.md fidelity note 3).
+// them down documents the substitution (README "Fidelity decisions",
+// scaled constants).
 #pragma once
 
 #include <cstdint>
@@ -43,7 +44,8 @@ struct CompeteParams {
   bool enable_background = true;     // Algorithm 2 stream on/off
   bool enable_icp_background = true; // Algorithm 4 stream on/off
 
-  /// Schedule realisation (DESIGN.md fidelity note 2).
+  /// Schedule realisation (README "Fidelity decisions", the Lemma 2.3
+  /// schedule abstraction).
   schedule::ScheduleMode mode = schedule::ScheduleMode::kPipelined;
 
   /// Round budget: stop after round_budget_factor * (theory bound) rounds

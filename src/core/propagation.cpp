@@ -334,7 +334,6 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
 
   if (!colored) {
     // ---- pipelined resolution: honest inter-cluster blocking -------------
-    for (const NodeId u : tx_nodes_) blocked_at_[u] = round_id_;
     for (const NodeId u : tx_nodes_) {
       // Foreign to a neighbour w: a different fine cluster of u's schedule
       // (which also covers a different region: fine clusters never span
@@ -527,6 +526,33 @@ std::uint32_t PropagationEngine::step(std::vector<Payload>& best,
     return 2;
   }
   return 1;
+}
+
+PropagationStats run_icp_window(const graph::Graph& g,
+                                const schedule::TreeSchedule& sched,
+                                std::vector<Payload>& best,
+                                const IcpParams& params, util::Rng& rng) {
+  const std::uint32_t span = std::min(
+      std::max<std::uint32_t>(1, params.pass_hops), sched.max_depth());
+  if (span == 0) return {};  // every node is a centre: nothing moves
+  // Nodes the schedule leaves out of scope stay out of the region too.
+  cluster::Partition region = cluster::trivial_partition(g);
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    if (!sched.in_scope(v)) region.center[v] = graph::kInvalidNode;
+  }
+  PropagationEngine::Config cfg;
+  cfg.graph = &g;
+  cfg.regions = &region;
+  cfg.scheds = {&sched};
+  cfg.choose = [span](NodeId, std::uint64_t) { return WindowChoice{0, span}; };
+  cfg.icp_background = params.with_background;
+  cfg.seed = util::mix_seed(params.seed, params.window_id);
+  PropagationEngine engine(cfg);
+  const std::uint32_t pass_len =
+      sched.mode() == schedule::ScheduleMode::kColored ? span * sched.period()
+                                                       : span;
+  for (std::uint32_t r = 0; r < 3 * pass_len; ++r) engine.step(best, rng);
+  return engine.stats();
 }
 
 }  // namespace radiocast::core

@@ -15,7 +15,10 @@
 //     hop budget) implementing step 5's shared-randomness sequence or the
 //     background's round-robin,
 //
-// and Compete instantiates it twice, interleaving their steps 1:1.
+// and Compete instantiates it twice, interleaving their steps 1:1. The
+// same engine runs a standalone ICP window (run_icp_window below): one
+// region, one schedule, three passes. So the pipelined blocking rule lives
+// only in wave_round and the Algorithm 4 stream only in background_round.
 //
 // Each engine step runs one round of the scheduled wave (Algorithm 3's
 // current pass, per-region desynchronised) and — when enabled — one round
@@ -158,9 +161,9 @@ class PropagationEngine {
   std::vector<std::uint8_t> is_active_;
   std::vector<std::uint32_t> wins_;  // ranks of this round's winning coins
 
-  // Round stamp of the pipelined wave: a listener is blocked when it
-  // transmits itself or hears a foreign-cluster transmitter. Eight bits;
-  // the stamps are cleared each time the round id wraps.
+  // Round stamp of the pipelined wave: a listener is blocked when a
+  // transmitter of another fine cluster is in range. Eight bits; the
+  // stamps are cleared each time the round id wraps.
   std::vector<std::uint8_t> blocked_at_;
   std::uint8_t round_id_ = 0;
 
@@ -194,5 +197,27 @@ class PropagationEngine {
   static constexpr std::uint32_t kNoDepth = static_cast<std::uint32_t>(-1);
   std::uint32_t transmit_depth(const RegionState& st) const;
 };
+
+/// One standalone Intra-Cluster Propagation window (Algorithm 3, with the
+/// Algorithm 4 background stream interleaved 1:1 when enabled).
+struct IcpParams {
+  /// Hop budget ell of Intra-Cluster Propagation(ell).
+  std::uint32_t pass_hops = 1;
+  bool with_background = true;
+  /// Keys of the background's coordinated cluster coins.
+  std::uint64_t window_id = 0;
+  std::uint64_t seed = 0;
+};
+
+/// Runs one full window over `best` (node -> highest known message,
+/// radio::kNoPayload when none): outward wave, inward convergecast, outward
+/// wave, each curtailed at min(pass_hops, sched.max_depth()) hops. It is a
+/// PropagationEngine over the one-region partition with `sched` as its
+/// only schedule, stepped for exactly one window. Physical rounds are
+/// main_rounds + background_rounds.
+PropagationStats run_icp_window(const graph::Graph& g,
+                                const schedule::TreeSchedule& sched,
+                                std::vector<Payload>& best,
+                                const IcpParams& params, util::Rng& rng);
 
 }  // namespace radiocast::core

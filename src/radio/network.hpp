@@ -4,15 +4,16 @@
 // Network is the facade protocols talk to. The interference rule itself
 // lives behind the pluggable radio::Medium interface (medium.hpp) with
 // scalar / bitslice / sharded backends; Network owns one backend, keeps
-// the cross-round counters, and offers three views of a round:
+// the cross-round counters, and offers two views of a round:
 //
 //   resolve()     — the unified entry point: transmitter list in, sparse
 //                   outcome out (the backend adaptively picks its dense or
 //                   frontier path from transmitter density)
 //   step()        — dense per-node vectors in/out, for schedule-driven
 //                   callers; a thin adapter over resolve()
-//   step_sparse() — legacy name for resolve(), kept for callers written
-//                   against the pre-backend API
+//
+// plus the LaneExecutor entry points (step_lanes*), which report the same
+// round in one-lane batch form.
 //
 // A correctness bug in collision semantics would affect every experiment
 // identically — which is why the semantics are pinned by an exhaustive
@@ -78,11 +79,6 @@ class Network : public LaneExecutor {
   /// Reception::kCollision); without detection it stays empty.
   void resolve(std::span<const graph::NodeId> transmitters,
                std::span<const Payload> tx_payload, SparseOutcome& out);
-
-  /// Legacy name for resolve().
-  void step_sparse(const std::vector<graph::NodeId>& transmitters,
-                   const std::vector<Payload>& tx_payload,
-                   SparseOutcome& out);
 
   /// Resolves one round from dense per-node vectors. `transmit[v]` says
   /// whether v transmits and `payload[v]` what it sends (ignored when not

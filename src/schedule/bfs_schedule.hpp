@@ -2,14 +2,15 @@
 //
 // A TreeSchedule materialises, for one Partition, the shifted-BFS tree of
 // every cluster (depth, parent, children) plus an optional conflict-free
-// transmission colouring. Two execution modes mirror DESIGN.md fidelity
-// note 2:
+// transmission colouring. Two execution modes mirror README "Fidelity
+// decisions", the Lemma 2.3 schedule abstraction:
 //
 //  * kPipelined — the schedule's *guarantee* (Lemma 2.3: a message moves to
 //    distance ell in O(ell + polylog) rounds): a wave advances one hop per
 //    round along the tree. Collisions *between* clusters are still honest:
 //    a listener with a foreign-cluster transmitter in range that round is
-//    blocked (the paper's risky-node failure mode, Lemma 4.2).
+//    blocked (the paper's risky-node failure mode, Lemma 4.2). The rule is
+//    enforced in one place, core::PropagationEngine::wave_round.
 //
 //  * kColored — a physically collision-free slot assignment inside each
 //    cluster, computed by greedy 2-hop conflict colouring: two same-cluster

@@ -192,24 +192,14 @@ std::uint32_t decay_step(radio::Network& net,
                          const std::vector<std::uint8_t>& participates,
                          const std::vector<radio::Payload>& payload_of,
                          std::uint32_t step, std::vector<radio::Payload>& best,
-                         util::Rng& rng,
-                         std::vector<graph::NodeId>* received_from) {
+                         util::Rng& rng) {
   const graph::NodeId n = net.node_count();
   static thread_local std::vector<std::uint64_t> mask;
   static thread_local radio::BatchOutcome out;
   mask.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) mask[v] = participates[v] ? 1 : 0;
-  // Senders are materialized only when the caller wants received_from.
-  const std::uint32_t delivered = decay_step_lanes(
-      net, mask, payload_of, step, best, std::span<util::Rng>(&rng, 1), out,
-      /*with_senders=*/received_from != nullptr);
-  if (received_from != nullptr) {
-    received_from->assign(n, graph::kInvalidNode);
-    // The outcome names the unique transmitting neighbour directly; no
-    // neighbourhood re-scan needed.
-    for (const auto& d : out.deliveries) (*received_from)[d.node] = d.from;
-  }
-  return delivered;
+  return decay_step_lanes(net, mask, payload_of, step, best,
+                          std::span<util::Rng>(&rng, 1), out);
 }
 
 std::uint32_t decay_round(radio::Network& net,
@@ -219,8 +209,7 @@ std::uint32_t decay_round(radio::Network& net,
   const std::uint32_t steps = decay_round_length(net.node_count());
   std::uint32_t delivered = 0;
   for (std::uint32_t s = 1; s <= steps; ++s) {
-    delivered +=
-        decay_step(net, participates, payload_of, s, best, rng, nullptr);
+    delivered += decay_step(net, participates, payload_of, s, best, rng);
   }
   return delivered;
 }

@@ -94,17 +94,13 @@ std::uint32_t decay_round_lanes(radio::LaneExecutor& net,
 /// nodes running Decay this round; each transmits `payload_of[v]` with
 /// probability 2^-step. Listeners that receive update
 /// `best[v] = max(best[v], received)`. Returns the number of deliveries.
-///
-/// `received_from` (optional, may be null) is filled with the transmitter
-/// that delivered to each node this step (kInvalidNode otherwise) — the
-/// simulation-side bookkeeping used by cluster-rescue logic (a real message
-/// would carry the sender's cluster id; see DESIGN.md).
+/// Callers that need to know who delivered use decay_step_lanes with
+/// with_senders = true.
 std::uint32_t decay_step(radio::Network& net,
                          const std::vector<std::uint8_t>& participates,
                          const std::vector<radio::Payload>& payload_of,
                          std::uint32_t step, std::vector<radio::Payload>& best,
-                         util::Rng& rng,
-                         std::vector<graph::NodeId>* received_from);
+                         util::Rng& rng);
 
 /// Executes one full Decay round (decay_round_length(n) steps).
 /// Returns total deliveries.

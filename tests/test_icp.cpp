@@ -1,5 +1,6 @@
-// Intra-Cluster Propagation windows (Algorithm 3 + 4), synchronized runner.
-#include "schedule/intra_cluster.hpp"
+// Standalone Intra-Cluster Propagation windows (Algorithm 3 + 4), run on
+// PropagationEngine.
+#include "core/propagation.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@ namespace {
 
 using cluster::Partition;
 using cluster::partition;
+using core::IcpParams;
+using core::run_icp_window;
 using radio::kNoPayload;
 using radio::Payload;
 
@@ -34,14 +37,13 @@ TEST(Icp, OutwardWaveInformsWithinHopBudget) {
   const graph::Graph g = graph::path(20);
   const Partition p = whole_path_cluster(20);
   const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
-  radio::Network net(g);
   std::vector<Payload> best(20, kNoPayload);
   best[0] = 77;  // centre knows
   IcpParams params;
   params.pass_hops = 8;
   params.with_background = false;
   util::Rng rng(1);
-  run_icp_window(net, sched, best, params, rng);
+  run_icp_window(g, sched, best, params, rng);
   for (graph::NodeId v = 0; v <= 8; ++v) EXPECT_EQ(best[v], 77u) << v;
   for (graph::NodeId v = 9; v < 20; ++v) EXPECT_EQ(best[v], kNoPayload) << v;
 }
@@ -50,7 +52,6 @@ TEST(Icp, InwardWaveLiftsHigherMessageToCenter) {
   const graph::Graph g = graph::path(20);
   const Partition p = whole_path_cluster(20);
   const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
-  radio::Network net(g);
   std::vector<Payload> best(20, kNoPayload);
   best[0] = 10;   // centre's value
   best[6] = 99;   // deeper node knows better
@@ -58,7 +59,7 @@ TEST(Icp, InwardWaveLiftsHigherMessageToCenter) {
   params.pass_hops = 8;
   params.with_background = false;
   util::Rng rng(2);
-  run_icp_window(net, sched, best, params, rng);
+  run_icp_window(g, sched, best, params, rng);
   EXPECT_EQ(best[0], 99u);          // centre adopted the max (pass 2)
   for (graph::NodeId v = 0; v <= 8; ++v) {
     EXPECT_EQ(best[v], 99u) << v;   // redistributed outward (pass 3)
@@ -69,7 +70,6 @@ TEST(Icp, NodeBeyondBudgetDoesNotReachCenter) {
   const graph::Graph g = graph::path(20);
   const Partition p = whole_path_cluster(20);
   const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
-  radio::Network net(g);
   std::vector<Payload> best(20, kNoPayload);
   best[0] = 10;
   best[15] = 99;  // beyond the 8-hop curtail
@@ -77,7 +77,7 @@ TEST(Icp, NodeBeyondBudgetDoesNotReachCenter) {
   params.pass_hops = 8;
   params.with_background = false;
   util::Rng rng(3);
-  run_icp_window(net, sched, best, params, rng);
+  run_icp_window(g, sched, best, params, rng);
   EXPECT_EQ(best[0], 10u);  // curtail respected
 }
 
@@ -85,20 +85,21 @@ TEST(Icp, RoundAccountingPipelined) {
   const graph::Graph g = graph::path(10);
   const Partition p = whole_path_cluster(10);
   const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
-  radio::Network net(g);
   std::vector<Payload> best(10, kNoPayload);
   best[0] = 1;
   IcpParams params;
   params.pass_hops = 5;
   params.with_background = false;
   util::Rng rng(4);
-  const auto stats = run_icp_window(net, sched, best, params, rng);
-  EXPECT_EQ(stats.rounds, 15u);  // 3 passes x 5 hops, no background
+  const auto stats = run_icp_window(g, sched, best, params, rng);
+  // 3 passes x 5 hops, no background
+  EXPECT_EQ(stats.main_rounds + stats.background_rounds, 15u);
   params.with_background = true;
   std::vector<Payload> best2(10, kNoPayload);
   best2[0] = 1;
-  const auto stats2 = run_icp_window(net, sched, best2, params, rng);
-  EXPECT_EQ(stats2.rounds, 30u);  // interleaved 1:1
+  const auto stats2 = run_icp_window(g, sched, best2, params, rng);
+  // interleaved 1:1
+  EXPECT_EQ(stats2.main_rounds + stats2.background_rounds, 30u);
 }
 
 /// Deterministic-collision gadget: path 0-1-2 with clusters A={0,1}
@@ -120,16 +121,15 @@ struct RiskyGadget {
 TEST(Icp, ForeignClusterBlocksRiskyNodeWithoutBackground) {
   RiskyGadget gadget;
   const TreeSchedule sched(gadget.g, gadget.p, ScheduleMode::kPipelined);
-  radio::Network net(gadget.g);
   std::vector<Payload> best{50, kNoPayload, 60};
   IcpParams params;
   params.pass_hops = 2;
   params.with_background = false;
   util::Rng rng(5);
-  const auto stats = run_icp_window(net, sched, best, params, rng);
+  const auto stats = run_icp_window(gadget.g, sched, best, params, rng);
   // Both outward passes block node 1 (centre 0 and foreign centre 2
   // transmit in the same wave slot), and nothing can rescue it.
-  EXPECT_GE(stats.blocked, 2u);
+  EXPECT_GE(stats.wave_blocked, 2u);
   EXPECT_EQ(best[1], kNoPayload);
 }
 
@@ -138,7 +138,6 @@ TEST(Icp, BackgroundRescuesRiskyNodes) {
   // coins eventually let cluster A transmit alone, informing node 1.
   RiskyGadget gadget;
   const TreeSchedule sched(gadget.g, gadget.p, ScheduleMode::kPipelined);
-  radio::Network net(gadget.g);
   std::vector<Payload> best{50, kNoPayload, 60};
   IcpParams params;
   params.pass_hops = 2;
@@ -150,7 +149,7 @@ TEST(Icp, BackgroundRescuesRiskyNodes) {
   // happened so the mechanism itself is exercised.
   for (int w = 0; w < 200 && rescued == 0; ++w) {
     params.window_id = w;
-    rescued += run_icp_window(net, sched, best, params, rng).rescued;
+    rescued += run_icp_window(gadget.g, sched, best, params, rng).rescued;
   }
   EXPECT_GT(rescued, 0u);
   EXPECT_NE(best[1], kNoPayload);
@@ -161,7 +160,6 @@ TEST(Icp, ColoredModeInformsPhysically) {
   const graph::Graph g = graph::grid(10, 10);
   const Partition p = cluster::partition(g, 0.15, rng);
   const TreeSchedule sched(g, p, ScheduleMode::kColored);
-  radio::Network net(g);
   std::vector<Payload> best(g.node_count(), kNoPayload);
   // every centre starts with a value
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
@@ -170,8 +168,8 @@ TEST(Icp, ColoredModeInformsPhysically) {
   IcpParams params;
   params.pass_hops = sched.max_depth() + 1;
   params.with_background = true;
-  const auto stats = run_icp_window(net, sched, best, params, rng);
-  EXPECT_GT(stats.deliveries, 0u);
+  const auto stats = run_icp_window(g, sched, best, params, rng);
+  EXPECT_GT(stats.wave_deliveries, 0u);
   // Every node heard something (its own cluster's wave at least).
   std::size_t informed = 0;
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
@@ -184,15 +182,43 @@ TEST(Icp, EmptyCentersProduceNoTraffic) {
   const graph::Graph g = graph::path(6);
   const Partition p = whole_path_cluster(6);
   const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
-  radio::Network net(g);
   std::vector<Payload> best(6, kNoPayload);  // nobody knows anything
   IcpParams params;
   params.pass_hops = 3;
   params.with_background = true;
   util::Rng rng(8);
-  const auto stats = run_icp_window(net, sched, best, params, rng);
-  EXPECT_EQ(stats.deliveries, 0u);
+  const auto stats = run_icp_window(g, sched, best, params, rng);
+  EXPECT_EQ(stats.wave_deliveries, 0u);
   for (auto b : best) EXPECT_EQ(b, kNoPayload);
+}
+
+TEST(Icp, OutOfScopeNodesStayOutsideTheWindow) {
+  // Nodes 6..9 are outside the schedule's partition (as after
+  // partition_masked): the wave stops at node 5 and, with the background
+  // stream on, nothing indexes their missing centre.
+  const graph::Graph g = graph::path(10);
+  Partition p = whole_path_cluster(10);
+  for (graph::NodeId v = 6; v < 10; ++v) {
+    p.center[v] = graph::kInvalidNode;
+    p.parent[v] = graph::kInvalidNode;
+    p.dist_to_center[v] = 0;
+  }
+  const TreeSchedule sched(g, p, ScheduleMode::kPipelined);
+  for (bool background : {false, true}) {
+    std::vector<Payload> best(10, kNoPayload);
+    best[0] = 77;
+    IcpParams params;
+    params.pass_hops = 8;
+    params.with_background = background;
+    util::Rng rng(9);
+    run_icp_window(g, sched, best, params, rng);
+    for (graph::NodeId v = 0; v <= 5; ++v) EXPECT_EQ(best[v], 77u) << v;
+    if (!background) {
+      for (graph::NodeId v = 6; v < 10; ++v) {
+        EXPECT_EQ(best[v], kNoPayload) << v;
+      }
+    }
+  }
 }
 
 // Pins whole windows without the background stream (no coin is drawn, so
@@ -215,7 +241,6 @@ TEST(Icp, WindowGoldenWithoutBackground) {
         for (ScheduleMode mode :
              {ScheduleMode::kPipelined, ScheduleMode::kColored}) {
           const TreeSchedule sched(g, p, mode);
-          radio::Network net(g);
           std::vector<Payload> best(n, kNoPayload);
           for (graph::NodeId v = 0; v < n; ++v) {
             if (p.is_center(v)) {
@@ -228,12 +253,13 @@ TEST(Icp, WindowGoldenWithoutBackground) {
           params.pass_hops = 1 + static_cast<std::uint32_t>(10 / beta);
           params.with_background = false;
           util::Rng rng(seed);
-          const auto stats = run_icp_window(net, sched, best, params, rng);
+          const auto stats = run_icp_window(g, sched, best, params, rng);
           for (Payload b : best) h = util::mix_seed(h, b);
-          h = util::mix_seed(h, stats.rounds);
-          h = util::mix_seed(h, stats.blocked);
+          h = util::mix_seed(h,
+                             stats.main_rounds + stats.background_rounds);
+          h = util::mix_seed(h, stats.wave_blocked);
           if (mode == ScheduleMode::kColored) {
-            h = util::mix_seed(h, stats.deliveries);
+            h = util::mix_seed(h, stats.wave_deliveries);
           }
         }
       }

@@ -167,7 +167,7 @@ TEST(Network, SizeMismatchThrows) {
   EXPECT_THROW(net.step(tx, pay, out), std::invalid_argument);
 }
 
-// --- step_sparse must agree exactly with the dense rule -------------------
+// --- resolve must agree exactly with the dense rule ----------------------
 
 TEST(NetworkSparse, AgreesWithDenseOnRandomRounds) {
   util::Rng rng(99);
@@ -189,7 +189,7 @@ TEST(NetworkSparse, AgreesWithDenseOnRandomRounds) {
     }
     const auto d = dense.step(tx, pay);
     Network::SparseOutcome s;
-    sparse.step_sparse(tx_nodes, tx_pay, s);
+    sparse.resolve(tx_nodes, tx_pay, s);
     EXPECT_EQ(s.transmitter_count, d.transmitter_count);
     EXPECT_EQ(s.collided_count, d.collided_count);
     EXPECT_EQ(s.deliveries.size(), d.delivered_count);
@@ -205,7 +205,9 @@ TEST(NetworkSparse, DeduplicatesTransmitters) {
   const Graph g = graph::path(2);
   Network net(g);
   Network::SparseOutcome out;
-  net.step_sparse({0, 0, 0}, {5, 5, 5}, out);
+  const std::vector<NodeId> tx{0, 0, 0};
+  const std::vector<Payload> pay{5, 5, 5};
+  net.resolve(tx, pay, out);
   EXPECT_EQ(out.transmitter_count, 1u);
   ASSERT_EQ(out.deliveries.size(), 1u);
   EXPECT_EQ(out.deliveries[0].node, 1u);
@@ -216,7 +218,9 @@ TEST(NetworkSparse, HalfDuplexRespected) {
   const Graph g = graph::path(2);
   Network net(g);
   Network::SparseOutcome out;
-  net.step_sparse({0, 1}, {5, 6}, out);
+  const std::vector<NodeId> tx{0, 1};
+  const std::vector<Payload> pay{5, 6};
+  net.resolve(tx, pay, out);
   EXPECT_TRUE(out.deliveries.empty());
 }
 
@@ -226,7 +230,7 @@ TEST(NetworkSparse, MismatchThrows) {
   Network::SparseOutcome out;
   std::vector<graph::NodeId> tx{0};
   std::vector<Payload> pay;
-  EXPECT_THROW(net.step_sparse(tx, pay, out), std::invalid_argument);
+  EXPECT_THROW(net.resolve(tx, pay, out), std::invalid_argument);
 }
 
 }  // namespace

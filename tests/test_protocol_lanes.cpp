@@ -323,7 +323,7 @@ TEST(ProtocolLanes, DecayRoundLanesMatchesPerLaneScalarRuns) {
 }
 
 // The single-lane wrapper must behave exactly like a hand-driven 1-lane
-// call (same draws, same best updates, same received_from bookkeeping).
+// call (same draws, same best updates).
 TEST(ProtocolLanes, ScalarDecayStepMatchesOneLaneCall) {
   util::Rng grng(47);
   const Graph g = graph::gnp(80, 0.1, grng);
@@ -339,10 +339,9 @@ TEST(ProtocolLanes, ScalarDecayStepMatchesOneLaneCall) {
   radio::Network net_a(g);
   std::vector<radio::Payload> best_a(n, radio::kNoPayload);
   util::Rng rng_a(99);
-  std::vector<NodeId> from;
   std::uint32_t del_a = 0;
   for (std::uint32_t s = 1; s <= 3; ++s) {
-    del_a += schedule::decay_step(net_a, part, pay, s, best_a, rng_a, &from);
+    del_a += schedule::decay_step(net_a, part, pay, s, best_a, rng_a);
   }
 
   radio::Network net_b(g);
