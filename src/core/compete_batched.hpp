@@ -34,9 +34,8 @@
 // of compete_batched(..., seeds) is byte-identical — success, rounds,
 // informed count, transmission/delivery counters, and the whole best[]
 // plane — to a 1-lane run over a scalar Network with seeds[l]. The
-// paper's clustering-based Compete main process (core/compete.hpp)
-// remains scalar; batching its per-seed hierarchies is future work on the
-// ROADMAP.
+// paper's clustering-based Compete main process (core/compete.hpp) runs
+// one seed at a time.
 #pragma once
 
 #include <cstdint>

@@ -24,9 +24,7 @@
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/io.hpp"
-#include "radio/engine.hpp"
 #include "radio/network.hpp"
-#include "radio/protocol.hpp"
 #include "schedule/bfs_schedule.hpp"
 #include "schedule/decay.hpp"
 #include "util/cli.hpp"

@@ -17,8 +17,7 @@
 //     output of a traced run is byte-identical to an untraced one (pinned
 //     by test + CI). The trace file is the only side channel.
 //
-// Distinct from radio::Trace (per-round protocol activity statistics);
-// this layer is about wall-clock attribution across threads.
+// This layer is about wall-clock attribution across threads.
 #pragma once
 
 #include <atomic>

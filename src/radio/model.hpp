@@ -21,15 +21,6 @@ constexpr Payload kNoPayload = std::numeric_limits<Payload>::max();
 /// Round counter.
 using Round = std::uint64_t;
 
-/// What a node does in one round.
-struct Action {
-  bool transmit = false;
-  Payload payload = kNoPayload;
-
-  static Action listen() { return {}; }
-  static Action send(Payload p) { return {true, p}; }
-};
-
 /// What a listening node perceives in one round.
 enum class Reception : std::uint8_t {
   /// Zero neighbours transmitted — or, in the no-collision-detection model,
