@@ -10,18 +10,10 @@
 // sweep's long format — one row per (D, algorithm) with success counts,
 // Wilson intervals, round statistics, and the matching core/theory bound
 // overlay — so this scenario's bench_out shapes match `sweep`'s.
-#include <array>
-#include <cmath>
 #include <vector>
 
-#include "baselines/decay_broadcast.hpp"
-#include "baselines/hw_broadcast.hpp"
-#include "core/broadcast.hpp"
-#include "core/theory.hpp"
-#include "exp/accumulator.hpp"
-#include "exp/report.hpp"
+#include "broadcast_race.hpp"
 #include "sim/instances.hpp"
-#include "sim/runner.hpp"
 #include "sim/scenario.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -41,63 +33,22 @@ RADIOCAST_SCENARIO(broadcast_vs_d, "broadcast-vs-d",
       quick ? std::vector<graph::NodeId>{24, 96, 384}
             : std::vector<graph::NodeId>{16, 32, 64, 128, 256, 512};
 
-  constexpr std::size_t kAlgorithms = 4;
-  const std::array<std::string_view, kAlgorithms> names{"cd", "hw", "bgi",
-                                                        "cr"};
-
   util::Table t(exp::long_headers(/*timing=*/false));
   util::Json points = util::Json::array();
   std::vector<double> ds, cd_rates;
   for (const auto d_target : d_targets) {
     if (d_target >= n / 2) continue;
     const sim::Instance inst = sim::make_cliquepath_instance(n, d_target);
-    const auto outs = ctx.runner.map(reps, [&](int rep) {
-      const std::uint64_t s = util::mix_seed(
+    std::vector<std::uint64_t> seeds(static_cast<std::size_t>(reps));
+    for (int rep = 0; rep < reps; ++rep) {
+      seeds[static_cast<std::size_t>(rep)] = util::mix_seed(
           util::mix_seed(seed, d_target), static_cast<std::uint64_t>(rep));
-      std::array<double, kAlgorithms> m;
-      m.fill(std::nan(""));
-      const auto rc = core::broadcast(inst.g, inst.diameter, 0, 7,
-                                      core::CompeteParams{}, s);
-      if (rc.success) m[0] = static_cast<double>(rc.rounds);
-      const auto rh = baselines::hw_broadcast(inst.g, inst.diameter, 0, 7, s);
-      if (rh.success) m[1] = static_cast<double>(rh.rounds);
-      const auto rb = baselines::decay_broadcast(
-          inst.g, inst.diameter, {{0, 7}},
-          baselines::bgi_params(inst.g.node_count()), s);
-      if (rb.success) m[2] = static_cast<double>(rb.rounds);
-      const auto rr = baselines::decay_broadcast(
-          inst.g, inst.diameter, {{0, 7}},
-          baselines::cr_params(inst.g.node_count(), inst.diameter), s);
-      if (rr.success) m[3] = static_cast<double>(rr.rounds);
-      return m;
-    });
-    const std::array<double, kAlgorithms> bounds{
-        core::theory::bound_cd(n, inst.diameter),
-        core::theory::bound_hw(n, inst.diameter),
-        core::theory::bound_bgi(n, inst.diameter),
-        core::theory::bound_crkp(n, inst.diameter)};
-    for (std::size_t a = 0; a < kAlgorithms; ++a) {
-      exp::Accumulator acc;
-      for (const auto& m : outs) {
-        const bool ok = !std::isnan(m[a]);
-        acc.add(ok, ok ? m[a] : 0.0);
-      }
-      acc.set_theory_bound(bounds[a]);
-      const exp::PointMeta meta{.family = "cliquepath",
-                                .param_name = "d",
-                                .param = static_cast<double>(d_target),
-                                .n = inst.g.node_count(),
-                                .diameter = inst.diameter,
-                                .protocol = std::string(names[a]),
-                                .medium = "scalar",
-                                .recovery = "",
-                                .lanes = 1};
-      exp::add_long_row(t, meta, acc, /*timing=*/false);
-      points.push_back(exp::point_json(meta, acc, /*timing=*/false));
-      if (a == 0 && acc.rounds().count() > 0) {
-        ds.push_back(static_cast<double>(inst.diameter));
-        cd_rates.push_back(acc.rounds().mean() / inst.diameter);
-      }
+    }
+    const exp::Accumulator cd = bench::race_broadcasts(
+        ctx.runner, inst, n, d_target, seeds, t, points);
+    if (cd.rounds().count() > 0) {
+      ds.push_back(static_cast<double>(inst.diameter));
+      cd_rates.push_back(cd.rounds().mean() / inst.diameter);
     }
   }
   ctx.emit(t, "E1: broadcast rounds vs D (fixed n) — Theorem 5.1 shape",

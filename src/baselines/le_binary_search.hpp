@@ -6,7 +6,8 @@
 // Protocol: candidates self-select w.p. Theta(log n / n) and draw random
 // B = Theta(log n)-bit IDs. For bit b = B-1 .. 0 the network tests "does a
 // surviving candidate exist whose ID has bit b set?" by having exactly
-// those candidates run a multi-source Decay broadcast for a fixed budget of
+// those candidates run a multi-source Decay broadcast (one lane of
+// core::compete_batched under the CR or BGI preset) for a fixed budget of
 // T_BC rounds; every node that hears anything records '1' for that bit.
 // Candidates whose bit disagrees with the outcome drop out. After B phases
 // all nodes hold the maximum candidate ID and exactly one candidate
@@ -15,7 +16,6 @@
 
 #include <cstdint>
 
-#include "baselines/decay_broadcast.hpp"
 #include "graph/graph.hpp"
 
 namespace radiocast::baselines {

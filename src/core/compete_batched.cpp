@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
+#include <iterator>
 #include <stdexcept>
 
 #include "radio/batch_network.hpp"
@@ -10,6 +12,22 @@
 #include "util/rng.hpp"
 
 namespace radiocast::core {
+namespace {
+
+/// Every kFullCycleEvery-th density cycle (counting from 0, cycle 0
+/// excluded) runs at least the full decay_round_length(n) depth: CR's
+/// handling of congested spots, a no-op when cycle_depth is already full.
+constexpr std::uint32_t kFullCycleEvery = 8;
+
+}  // namespace
+
+BatchedCompeteParams cr_params(std::uint32_t n, std::uint32_t diameter) {
+  const double ratio = std::max(
+      2.0, static_cast<double>(n) / std::max<std::uint32_t>(1, diameter));
+  return {.cycle_depth = std::min(
+              static_cast<std::uint32_t>(std::ceil(std::log2(ratio))) + 2,
+              schedule::decay_round_length(n))};
+}
 
 std::vector<CompeteLaneResult> compete_batched(
     radio::LaneExecutor& net, const std::vector<CompeteSource>& sources,
@@ -98,10 +116,11 @@ std::vector<CompeteLaneResult> compete_batched(
   rngs.reserve(static_cast<std::size_t>(lanes));
   for (const std::uint64_t seed : seeds) rngs.emplace_back(seed);
 
+  const std::uint32_t full_depth = schedule::decay_round_length(n);
   const std::uint32_t depth =
-      params.cycle_depth == 0
-          ? schedule::decay_round_length(n)
-          : std::max<std::uint32_t>(1, params.cycle_depth);
+      params.cycle_depth == 0 ? full_depth
+                              : std::max<std::uint32_t>(1, params.cycle_depth);
+  const std::uint32_t full_cycle_len = std::max(depth, full_depth);
 
   std::uint64_t active = lane_mask;
   if (seeded == n) {
@@ -112,9 +131,12 @@ std::vector<CompeteLaneResult> compete_batched(
   std::vector<std::uint64_t> participates(n, 0);
   radio::BatchOutcome out;
   std::uint64_t round = 0;
-  std::uint32_t since_check = 0;
+  // The density schedule is shared by all lanes: step (1-based) within
+  // cycle `cycle`, whose length is full_cycle_len on CR's full cycles.
+  std::uint32_t step = 1;
+  std::uint32_t cycle = 0;
+  std::uint32_t cycle_len = depth;
   while (active != 0 && round < params.max_rounds) {
-    const std::uint32_t step = static_cast<std::uint32_t>(round % depth) + 1;
     // Done lanes stop transmitting: their planes and counters are frozen
     // at the values a standalone run would have terminated with (the coin
     // words their streams keep yielding can no longer influence anything).
@@ -139,30 +161,27 @@ std::vector<CompeteLaneResult> compete_batched(
       knows[dm.node] |= fresh;
       for (; fresh != 0; fresh &= fresh - 1) ++known[std::countr_zero(fresh)];
     }
+    ++round;
+    if (++step > cycle_len) {
+      step = 1;
+      ++cycle;
+      cycle_len = cycle % kFullCycleEvery == 0 ? full_cycle_len : depth;
+    }
     for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
       const int l = std::countr_zero(scan);
       results[static_cast<std::size_t>(l)].transmissions +=
           out.transmitter_count[l];
       results[static_cast<std::size_t>(l)].deliveries +=
           out.delivered_count[l];
-    }
-    ++round;
-    if (++since_check >= params.check_interval) {
-      since_check = 0;
-      for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
-        const int l = std::countr_zero(scan);
-        if (known[l] == n) {
-          finish_lane(l, true, round);
-          active &= ~(std::uint64_t{1} << l);
-        }
+      if (known[l] == n) {
+        finish_lane(l, true, round);
+        active &= ~(std::uint64_t{1} << l);
       }
     }
   }
-  // Lanes that ran out of budget: final completion test (a lane may have
-  // finished between checks), mirroring the scalar cores.
+  // Lanes still active ran out of budget.
   for (std::uint64_t scan = active; scan != 0; scan &= scan - 1) {
-    const int l = std::countr_zero(scan);
-    finish_lane(l, known[l] == n, round);
+    finish_lane(std::countr_zero(scan), false, round);
   }
 
   for (int l = 0; l < lanes; ++l) {
@@ -182,10 +201,22 @@ std::vector<CompeteLaneResult> compete_batched(
     const graph::Graph& g, const std::vector<CompeteSource>& sources,
     const BatchedCompeteParams& params, std::span<const std::uint64_t> seeds,
     radio::MediumKind medium, radio::RecoveryStrategy recovery) {
-  radio::BatchNetwork net(g, static_cast<int>(seeds.size()),
-                          radio::CollisionModel::kNoDetection, medium,
-                          recovery);
-  return compete_batched(net, sources, params, seeds);
+  if (seeds.empty()) {
+    throw std::invalid_argument("compete_batched: no seeds");
+  }
+  std::vector<CompeteLaneResult> results;
+  for (std::size_t first = 0; first < seeds.size();) {
+    const std::size_t count = std::min<std::size_t>(seeds.size() - first,
+                                                    radio::kMaxLanes);
+    radio::BatchNetwork net(g, static_cast<int>(count),
+                            radio::CollisionModel::kNoDetection, medium,
+                            recovery);
+    auto batch =
+        compete_batched(net, sources, params, seeds.subspan(first, count));
+    std::move(batch.begin(), batch.end(), std::back_inserter(results));
+    first += count;
+  }
+  return results;
 }
 
 std::vector<CompeteLaneResult> broadcast_batched(

@@ -4,12 +4,21 @@
 // bitslice backend) up to 64 seeds share every CSR traversal instead of
 // re-walking the adjacency once per seed.
 //
-// The protocol is the Compete semantics restricted to Decay relaying
-// (exactly baselines::decay_broadcast's rule set, the BGI yardstick):
-// every informed node relays the highest message it knows via
-// synchronized Decay, densities cycling over 2^-1 .. 2^-cycle_depth,
-// until every node knows max(S) or the round budget runs out. Each lane
-// carries its own RNG stream and its own termination clock.
+// The protocol is the Compete semantics restricted to Decay relaying, the
+// classical yardsticks' rule set: every informed node relays the highest
+// message it knows via synchronized Decay, densities cycling over 2^-1 ..
+// 2^-cycle_depth, with every 8th cycle a full-depth one (2^-1 ..
+// 2^-ceil(log2 n)) for congested spots, until every node knows max(S) or
+// the round budget runs out. Each lane carries its own RNG stream and its
+// own termination clock. The two classical yardsticks are:
+//
+//  * BGI (Bar-Yehuda-Goldreich-Itai 1992), the default params: every
+//    cycle is full depth. O((D + log n) log n) rounds whp.
+//  * CR/KP (Czumaj-Rytter 2003 / Kowalski-Pelc 2005 style), cr_params:
+//    densities cycle only over 2^-1 .. 2^-(ceil(log2(n/D)) + 2) (capped
+//    at the full depth), since the expected per-layer congestion is n/D,
+//    plus the periodic full-depth cycle. O(D log(n/D) + log^2 n) rounds
+//    whp, the best possible without spontaneous transmissions.
 //
 // Two routes, picked from the sources alone:
 //   * single-valued — every source carries the same value (every
@@ -27,8 +36,9 @@
 //     let a node relay different values in different lanes.
 // Both routes count, per lane, the nodes that know max(S), updated from
 // the delivered masks (the multi-valued route reads best only at delivered
-// lanes that have not reached the winner yet). Completion is tested every
-// check_interval rounds by comparing that count with n.
+// lanes that have not reached the winner yet). Completion is tested after
+// every round by comparing that count with n, so `rounds` is the exact
+// round in which a lane finished.
 //
 // Determinism contract (pinned by tests/test_protocol_lanes.cpp): lane l
 // of compete_batched(..., seeds) is byte-identical — success, rounds,
@@ -51,18 +61,21 @@ namespace radiocast::core {
 
 struct BatchedCompeteParams {
   /// Decay density cycle depth: probabilities cycle over 2^-1 ..
-  /// 2^-cycle_depth. 0 = auto (ceil(log2 n), the BGI rule).
+  /// 2^-cycle_depth. 0 = auto (ceil(log2 n), the BGI rule). Cycles are
+  /// counted from 0; cycle k >= 1 with k % 8 == 0 runs at least the full
+  /// ceil(log2 n) depth (CR's handling of congested spots).
   std::uint32_t cycle_depth = 0;
   /// Stop a lane after this many rounds even if nodes remain uninformed.
   std::uint64_t max_rounds = 1'000'000;
-  /// Completion-scan cadence (measurement only, like the scalar cores).
-  std::uint32_t check_interval = 16;
 };
+
+/// The CR/KP preset (see the file comment); BGI is the default params.
+BatchedCompeteParams cr_params(std::uint32_t n, std::uint32_t diameter);
 
 /// One lane's (= one seed's) replication result.
 struct CompeteLaneResult {
   bool success = false;      // every node knew max(S) at termination
-  std::uint64_t rounds = 0;  // physical rounds this lane executed
+  std::uint64_t rounds = 0;  // physical rounds until completion or budget
   std::uint32_t informed = 0;
   radio::Payload winner = radio::kNoPayload;
   std::uint64_t transmissions = 0;
@@ -78,11 +91,12 @@ std::vector<CompeteLaneResult> compete_batched(
     radio::LaneExecutor& net, const std::vector<CompeteSource>& sources,
     const BatchedCompeteParams& params, std::span<const std::uint64_t> seeds);
 
-/// Convenience: owns a BatchNetwork over `g` with seeds.size() lanes on
-/// the given backend (bitslice = one traversal per round for all seeds);
-/// `recovery` pins the backend's sender-recovery path (results are
-/// identical for every setting — only the cost moves, and only for
-/// multi-valued sources).
+/// Convenience: runs the seeds through BatchNetworks over `g` of up to
+/// radio::kMaxLanes lanes each on the given backend (bitslice = one
+/// traversal per round for a whole batch); a lane depends only on its
+/// seed, so any non-zero number of seeds may be passed. `recovery` pins the
+/// backend's sender-recovery path (results are identical for every
+/// setting — only the cost moves, and only for multi-valued sources).
 std::vector<CompeteLaneResult> compete_batched(
     const graph::Graph& g, const std::vector<CompeteSource>& sources,
     const BatchedCompeteParams& params, std::span<const std::uint64_t> seeds,

@@ -15,6 +15,7 @@
 #include "core/bfs_tree.hpp"
 #include "core/broadcast.hpp"
 #include "core/compete.hpp"
+#include "core/compete_batched.hpp"
 #include "core/leader_election.hpp"
 #include "core/multi_message.hpp"
 #include "core/params.hpp"

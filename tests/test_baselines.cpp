@@ -1,4 +1,3 @@
-#include "baselines/decay_broadcast.hpp"
 #include "baselines/hw_broadcast.hpp"
 #include "baselines/layered_cd.hpp"
 #include "baselines/le_binary_search.hpp"
@@ -8,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/compete_batched.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "schedule/decay.hpp"
@@ -15,10 +15,23 @@
 namespace radiocast::baselines {
 namespace {
 
+using core::cr_params;
+
+/// BGI is the relay's default params (full-depth density cycles).
+constexpr core::BatchedCompeteParams kBgi{};
+
+/// One seeded run of the Decay relay (one lane of core::compete_batched).
+core::CompeteLaneResult relay(const graph::Graph& g,
+                              const std::vector<core::CompeteSource>& sources,
+                              const core::BatchedCompeteParams& params,
+                              std::uint64_t seed) {
+  const std::uint64_t seeds[] = {seed};
+  return core::compete_batched(g, sources, params, seeds).front();
+}
+
 TEST(BgiBroadcast, InformsPath) {
   const graph::Graph g = graph::path(100);
-  const auto r =
-      decay_broadcast(g, 99, {{0, 5}}, bgi_params(g.node_count()), 1);
+  const auto r = relay(g, {{0, 5}}, kBgi, 1);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.informed, 100u);
 }
@@ -26,9 +39,7 @@ TEST(BgiBroadcast, InformsPath) {
 TEST(BgiBroadcast, InformsDenseGraph) {
   util::Rng rng(2);
   const graph::Graph g = graph::gnp(300, 0.05, rng);
-  const auto d = graph::diameter_double_sweep(g);
-  const auto r =
-      decay_broadcast(g, d, {{0, 5}}, bgi_params(g.node_count()), 2);
+  const auto r = relay(g, {{0, 5}}, kBgi, 2);
   EXPECT_TRUE(r.success);
 }
 
@@ -36,8 +47,7 @@ TEST(BgiBroadcast, RoundsScaleLikeDLogN) {
   // On a path, BGI costs ~ c * D * log n; check the per-hop rate is within
   // a small factor of log2 n.
   const graph::Graph g = graph::path(300);
-  const auto r =
-      decay_broadcast(g, 299, {{0, 1}}, bgi_params(g.node_count()), 3);
+  const auto r = relay(g, {{0, 1}}, kBgi, 3);
   ASSERT_TRUE(r.success);
   const double per_hop = static_cast<double>(r.rounds) / 299.0;
   const double logn = std::log2(300.0);
@@ -49,10 +59,8 @@ TEST(CrBroadcast, FasterThanBgiOnLongCliquePath) {
   // n/D small => CR's shallow cycles beat BGI's full-depth cycles.
   const graph::Graph g = graph::path_of_cliques(60, 4);
   const auto d = graph::diameter_double_sweep(g);
-  const auto bgi =
-      decay_broadcast(g, d, {{0, 9}}, bgi_params(g.node_count()), 4);
-  const auto cr =
-      decay_broadcast(g, d, {{0, 9}}, cr_params(g.node_count(), d), 4);
+  const auto bgi = relay(g, {{0, 9}}, kBgi, 4);
+  const auto cr = relay(g, {{0, 9}}, cr_params(g.node_count(), d), 4);
   ASSERT_TRUE(bgi.success);
   ASSERT_TRUE(cr.success);
   EXPECT_LT(cr.rounds, bgi.rounds);
@@ -62,38 +70,52 @@ TEST(CrBroadcast, HandlesHighCongestionViaFullCycles) {
   // Star-heavy topology: per-node congestion n-1 >> n/D; the periodic
   // full-depth cycle must still get the message out of the hub.
   const graph::Graph g = graph::star(400);
-  const auto r = decay_broadcast(g, 2, {{1, 9}},
-                                 cr_params(g.node_count(), 2), 5);
+  const auto r = relay(g, {{1, 9}}, cr_params(g.node_count(), 2), 5);
   EXPECT_TRUE(r.success);
 }
 
-TEST(DecayBroadcast, MultiSourceHighestWins) {
+TEST(CrBroadcast, FullCyclesAreWired) {
+  // 500 informed leaves and the hub as the only listener: at densities
+  // 2^-1 and 2^-2 one transmitter alone essentially never happens, so
+  // only the periodic full-depth cycles can inform the hub. (cr_params
+  // would pick the full depth here already, so the shallow depth is set
+  // by hand.)
+  const graph::Graph g = graph::star(501);
+  std::vector<core::CompeteSource> leaves;
+  for (graph::NodeId v = 1; v < g.node_count(); ++v) leaves.push_back({v, 9});
+  core::BatchedCompeteParams p;
+  p.cycle_depth = 2;
+  p.max_rounds = 2000;
+  const auto r = relay(g, leaves, p, 12);
+  EXPECT_TRUE(r.success);
+  EXPECT_LT(r.rounds, 2000u);
+}
+
+TEST(DecayRelay, MultiSourceHighestWins) {
   const graph::Graph g = graph::grid(10, 10);
-  const auto r = decay_broadcast(
-      g, 18, {{0, 3}, {55, 12}, {99, 7}}, bgi_params(g.node_count()), 6);
+  const auto r = relay(g, {{0, 3}, {55, 12}, {99, 7}}, kBgi, 6);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.winner, 12u);
   for (auto b : r.best) EXPECT_EQ(b, 12u);
 }
 
-TEST(DecayBroadcast, EmptySourcesVacuous) {
+TEST(DecayRelay, EmptySourcesVacuous) {
   const graph::Graph g = graph::path(5);
-  const auto r = decay_broadcast(g, 4, {}, bgi_params(5), 7);
+  const auto r = relay(g, {}, kBgi, 7);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.rounds, 0u);
 }
 
-TEST(DecayBroadcast, SourceOutOfRangeThrows) {
+TEST(DecayRelay, SourceOutOfRangeThrows) {
   const graph::Graph g = graph::path(5);
-  EXPECT_THROW(decay_broadcast(g, 4, {{9, 1}}, bgi_params(5), 8),
-               std::out_of_range);
+  EXPECT_THROW(relay(g, {{9, 1}}, kBgi, 8), std::out_of_range);
 }
 
-TEST(DecayBroadcast, MaxRoundsRespected) {
+TEST(DecayRelay, MaxRoundsRespected) {
   const graph::Graph g = graph::path(500);
-  DecayBroadcastParams p = bgi_params(500);
+  core::BatchedCompeteParams p = kBgi;
   p.max_rounds = 50;  // far too few for 500 hops
-  const auto r = decay_broadcast(g, 499, {{0, 1}}, p, 9);
+  const auto r = relay(g, {{0, 1}}, p, 9);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.rounds, 50u);
   EXPECT_LT(r.informed, 500u);

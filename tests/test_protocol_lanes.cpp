@@ -114,9 +114,40 @@ TEST(ProtocolLanes, CompeteBatchedMultiSourceMatchesScalarRuns) {
   const Graph g = graph::gnp(120, 0.07, grng);
   BatchedCompeteParams params;
   params.max_rounds = 3000;
-  params.check_interval = 5;  // off-cycle cadence must still agree
   const std::vector<CompeteSource> sources{{2, 900}, {40, 901}, {77, 950}};
   check_compete_differential(g, sources, params, 23, 2001);
+}
+
+// `rounds` is the round in which a lane finished: rerunning a successful
+// lane's seed with exactly that budget reproduces the lane, and one round
+// less fails. Both routes, at several lane counts.
+TEST(ProtocolLanes, LanesReportTheirExactFinishingRound) {
+  util::Rng grng(53);
+  const Graph g = graph::gnp(140, 0.06, grng);
+  BatchedCompeteParams params;
+  params.max_rounds = 4000;
+  const std::vector<std::vector<CompeteSource>> cases{
+      {{0, 77}}, {{2, 900}, {40, 901}, {77, 950}}};
+  for (const auto& sources : cases) {
+    for (const int lanes : {1, 9, 64}) {
+      SCOPED_TRACE("sources=" + std::to_string(sources.size()) +
+                   "/lanes=" + std::to_string(lanes));
+      const auto seeds = make_seeds(lanes, 9001);
+      const auto runs = core::compete_batched(g, sources, params, seeds);
+      for (int l = 0; l < lanes; ++l) {
+        const CompeteLaneResult& r = runs[static_cast<std::size_t>(l)];
+        ASSERT_TRUE(r.success) << "lane " << l;
+        const std::uint64_t one[] = {seeds[static_cast<std::size_t>(l)]};
+        BatchedCompeteParams exact = params;
+        exact.max_rounds = r.rounds;
+        expect_lane_equal(core::compete_batched(g, sources, exact, one)[0], r,
+                          l);
+        exact.max_rounds = r.rounds - 1;
+        EXPECT_FALSE(core::compete_batched(g, sources, exact, one)[0].success)
+            << "lane " << l;
+      }
+    }
+  }
 }
 
 TEST(ProtocolLanes, TightBudgetLanesAgreeOnFailureToo) {
@@ -173,7 +204,6 @@ TEST(ProtocolLanes, SingleValuedRouteMatchesFoldRoute) {
   BatchedCompeteParams params;
   params.max_rounds = 4000;
   check_route_differential(g, {{0, 77}}, params, 8001);
-  params.check_interval = 5;  // off-cycle cadence
   check_route_differential(g, {{11, 300}}, params, 8002);
 }
 
@@ -417,6 +447,9 @@ TEST(ProtocolLanes, RejectsLaneOverflowAndBadPlanes) {
   EXPECT_THROW(
       core::compete_batched(net, {{0, 1}}, BatchedCompeteParams{}, seeds),
       std::invalid_argument);  // 2 seeds into a 1-lane executor
+  EXPECT_THROW(core::compete_batched(g, {{0, 1}}, BatchedCompeteParams{},
+                                     std::span<const std::uint64_t>{}),
+               std::invalid_argument);  // no seeds at all
 
   radio::BatchNetwork bn(g, 8);
   std::vector<std::uint64_t> participates(g.node_count(), 0xFF);
