@@ -4,6 +4,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "cluster/hierarchy.hpp"
 #include "core/theory.hpp"
@@ -18,21 +19,21 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
   const NodeId n = g.node_count();
   if (n == 0) throw std::invalid_argument("compete: empty graph");
   CompeteResult result;
-  result.best.assign(n, radio::kNoPayload);
   for (const auto& s : sources) {
     if (s.node >= n) throw std::out_of_range("compete: source out of range");
-    if (result.best[s.node] == radio::kNoPayload ||
-        s.value > result.best[s.node]) {
-      result.best[s.node] = s.value;
-    }
     if (result.winner == radio::kNoPayload || s.value > result.winner) {
       result.winner = s.value;
     }
   }
   if (sources.empty()) {
     result.success = true;  // vacuous: nothing to propagate
+    result.best.assign(n, radio::kNoPayload);
     return result;
   }
+  // Seeding through learn() counts seeded nodes, not sources, so
+  // duplicate source nodes and duplicate winner values count right.
+  Knowledge know{std::vector<Payload>(n, radio::kNoPayload), result.winner};
+  for (const auto& s : sources) know.learn(s.node, s.value);
 
   util::Rng rng(seed);
   const double d = static_cast<double>(std::max<std::uint32_t>(2, diameter));
@@ -131,33 +132,28 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
       params.max_rounds_abs,
       static_cast<std::uint64_t>(params.round_budget_factor * bound));
 
+  // One cycle of the 1:1 interleave: the main process's wave and Decay
+  // rounds, then the background process's. Completion is tested after
+  // every physical round.
   util::Rng main_rng = rng.fork(1);
   util::Rng bg_rng = rng.fork(2);
-  std::uint64_t rounds = 0;
-  std::uint32_t since_check = 0;
-  auto all_informed = [&]() {
-    for (NodeId v = 0; v < n; ++v) {
-      if (result.best[v] != result.winner) return false;
-    }
-    return true;
-  };
-  bool done = all_informed();
-  while (!done && rounds < budget) {
-    rounds += main_engine.step(result.best, main_rng);
-    if (bg_engine) rounds += bg_engine->step(result.best, bg_rng);
-    if (++since_check >= params.check_interval) {
-      since_check = 0;
-      done = all_informed();
-    }
+  const std::size_t per_process = params.enable_icp_background ? 2 : 1;
+  std::vector<std::pair<PropagationEngine*, util::Rng*>> cycle(
+      per_process, {&main_engine, &main_rng});
+  if (bg_engine) {
+    cycle.insert(cycle.end(), per_process, {bg_engine.get(), &bg_rng});
   }
-  if (!done) done = all_informed();
+  std::uint64_t rounds = 0;
+  while (know.known < n && rounds < budget) {
+    const auto [engine, engine_rng] = cycle[rounds % cycle.size()];
+    engine->round(know, *engine_rng);
+    ++rounds;
+  }
 
   result.rounds = rounds;
-  result.success = done;
-  result.informed = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    if (result.best[v] == result.winner) ++result.informed;
-  }
+  result.success = know.known == n;
+  result.informed = know.known;
+  result.best = std::move(know.best);
   result.main_stats = main_engine.stats();
   if (bg_engine) result.background_stats = bg_engine->stats();
   return result;

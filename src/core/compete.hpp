@@ -18,10 +18,12 @@
 // for risky boundary nodes.
 //
 // Round accounting: `rounds` counts the simulated propagation rounds across
-// all interleaved streams; the distributed precomputation (clusterings,
-// schedules, sequence dissemination — Algorithm 1 steps 1-6) is charged
-// analytically in `precompute_rounds_charged` (README "Fidelity
-// decisions", charged precompute).
+// all interleaved streams, up to the exact round in which the last node
+// learnt the winner (completion is tested after every round, in O(1)) or
+// the budget. The distributed precomputation (clusterings, schedules,
+// sequence dissemination — Algorithm 1 steps 1-6) is charged analytically
+// in `precompute_rounds_charged` (README "Fidelity decisions", charged
+// precompute).
 #pragma once
 
 #include <cstdint>
@@ -42,7 +44,8 @@ struct CompeteSource {
 struct CompeteResult {
   /// True iff every node knew the highest source message at termination.
   bool success = false;
-  /// Propagation rounds simulated (all four interleaved streams).
+  /// Propagation rounds simulated (all four interleaved streams): the
+  /// exact round in which every node knew the winner, or the budget.
   std::uint64_t rounds = 0;
   /// Analytically charged precomputation cost (Lemma 2.1 + Lemma 2.3).
   std::uint64_t precompute_rounds_charged = 0;

@@ -50,13 +50,11 @@ struct CompeteParams {
 
   /// Round budget: stop after round_budget_factor * (theory bound) rounds
   /// even if not everyone is informed (prevents pathological runs from
-  /// hanging benches); also an absolute cap.
+  /// hanging benches); also an absolute cap. Completion is tested after
+  /// every physical round, so a run stops at the exact round it completes
+  /// in, and a run that does not stops at exactly min(budget, cap).
   double round_budget_factor = 60.0;
   std::uint64_t max_rounds_abs = 200'000'000;
-
-  /// Completion-scan cadence (central termination detection, measurement
-  /// only — the algorithm itself is oblivious).
-  std::uint32_t check_interval = 32;
 };
 
 }  // namespace radiocast::core

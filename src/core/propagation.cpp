@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "schedule/decay.hpp"
 #include "util/math.hpp"
@@ -189,7 +190,7 @@ std::uint32_t PropagationEngine::take_seq() {
 }
 
 void PropagationEngine::start_window(std::uint32_t region,
-                                     std::vector<Payload>& best) {
+                                     const std::vector<Payload>& best) {
   RegionState& st = rstate_[region];
   st.choice = choose_(region_center_[region], st.seq_pos);
   if (st.choice.sched_index >= scheds_.size()) {
@@ -207,7 +208,7 @@ void PropagationEngine::start_window(std::uint32_t region,
 }
 
 void PropagationEngine::begin_phase(std::uint32_t region, Phase phase,
-                                    std::vector<Payload>& best) {
+                                    const std::vector<Payload>& best) {
   RegionState& st = rstate_[region];
   const schedule::TreeSchedule& sched = *scheds_[st.choice.sched_index];
   const auto lo = member_off_[region], hi = member_off_[region + 1];
@@ -250,7 +251,7 @@ void PropagationEngine::begin_phase(std::uint32_t region, Phase phase,
 }
 
 void PropagationEngine::finish_inward(std::uint32_t region,
-                                      std::vector<Payload>& best) {
+                                      Knowledge& know) {
   // Centres adopt the converge-cast maximum. Centres are exactly the
   // depth-0 bucket of this region's schedule index.
   const RegionState& st = rstate_[region];
@@ -260,10 +261,7 @@ void PropagationEngine::finish_inward(std::uint32_t region,
   const std::uint32_t end = idx.region_start[region] + idx.off[base + 1];
   for (std::uint32_t i = start; i < end; ++i) {
     const NodeId c = idx.nodes[i];
-    if (upval_[c] != radio::kNoPayload &&
-        (best[c] == radio::kNoPayload || upval_[c] > best[c])) {
-      best[c] = upval_[c];
-    }
+    if (upval_[c] != radio::kNoPayload) know.learn(c, upval_[c]);
   }
 }
 
@@ -275,7 +273,8 @@ std::uint32_t PropagationEngine::transmit_depth(const RegionState& st) const {
   return st.phase_round;  // outward wave time == transmitting depth
 }
 
-void PropagationEngine::wave_round(std::vector<Payload>& best) {
+void PropagationEngine::wave_round(Knowledge& know) {
+  const std::vector<Payload>& best = know.best;
   if (++round_id_ == 0) {  // stamps wrapped: start them over
     std::fill(blocked_at_.begin(), blocked_at_.end(), 0);
     round_id_ = 1;
@@ -369,9 +368,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
             ++stats_.wave_blocked;
             continue;
           }
-          if (best[v] == radio::kNoPayload || tx_payload_[i] > best[v]) {
-            best[v] = tx_payload_[i];
-          }
+          know.learn(v, tx_payload_[i]);
           if (!reached_[v]) {
             mark_reached(v, sched.center(v));
             ++stats_.wave_deliveries;
@@ -384,9 +381,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
     net_.resolve(tx_nodes_, tx_payload_, sparse_out_);
     for (const auto& d : sparse_out_.deliveries) {
       const NodeId v = d.node;
-      if (best[v] == radio::kNoPayload || d.payload > best[v]) {
-        best[v] = d.payload;
-      }
+      know.learn(v, d.payload);
       const std::uint32_t rv = region_of_[v];
       if (rv == graph::kInvalidNode || region_of_[d.from] != rv) continue;
       const RegionState& st = rstate_[rv];
@@ -417,7 +412,7 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
         begin_phase(r, Phase::kInward, best);
         break;
       case Phase::kInward:
-        finish_inward(r, best);
+        finish_inward(r, know);
         st.phase = Phase::kOutC;
         begin_phase(r, Phase::kOutC, best);
         break;
@@ -429,8 +424,8 @@ void PropagationEngine::wave_round(std::vector<Payload>& best) {
   }
 }
 
-void PropagationEngine::background_round(std::vector<Payload>& best,
-                                         util::Rng& rng) {
+void PropagationEngine::background_round(Knowledge& know, util::Rng& rng) {
+  const std::vector<Payload>& best = know.best;
   // Algorithm 4 clock: epochs of lambda iterations, iteration i being one
   // Decay round (lambda steps) run by each cluster independently with the
   // coordinated probability 2^-i.
@@ -492,9 +487,7 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
     stats_.decay_deliveries += sparse_out_.deliveries.size();
     for (const auto& d : sparse_out_.deliveries) {
       const NodeId v = d.node;
-      if (best[v] == radio::kNoPayload || d.payload > best[v]) {
-        best[v] = d.payload;
-      }
+      know.learn(v, d.payload);
       const std::uint32_t rv = region_of_[v];
       if (rv == graph::kInvalidNode || region_of_[d.from] != rv) continue;
       const schedule::TreeSchedule& sched =
@@ -514,18 +507,20 @@ void PropagationEngine::background_round(std::vector<Payload>& best,
   ++stats_.background_rounds;
 }
 
-std::uint32_t PropagationEngine::step(std::vector<Payload>& best,
-                                      util::Rng& rng) {
+void PropagationEngine::round(Knowledge& know, util::Rng& rng) {
+  if (decay_next_) {
+    background_round(know, rng);
+    decay_next_ = false;
+    return;
+  }
   if (!started_) {
     started_ = true;
-    for (std::uint32_t r = 0; r < region_count_; ++r) start_window(r, best);
+    for (std::uint32_t r = 0; r < region_count_; ++r) {
+      start_window(r, know.best);
+    }
   }
-  wave_round(best);
-  if (icp_background_) {
-    background_round(best, rng);
-    return 2;
-  }
-  return 1;
+  wave_round(know);
+  decay_next_ = icp_background_;
 }
 
 PropagationStats run_icp_window(const graph::Graph& g,
@@ -551,7 +546,13 @@ PropagationStats run_icp_window(const graph::Graph& g,
   const std::uint32_t pass_len =
       sched.mode() == schedule::ScheduleMode::kColored ? span * sched.period()
                                                        : span;
-  for (std::uint32_t r = 0; r < 3 * pass_len; ++r) engine.step(best, rng);
+  // No winner: a window only moves messages, there is nothing to count.
+  Knowledge know{std::move(best)};
+  const std::uint32_t streams = params.with_background ? 2 : 1;
+  for (std::uint32_t r = 0; r < 3 * pass_len * streams; ++r) {
+    engine.round(know, rng);
+  }
+  best = std::move(know.best);
   return engine.stats();
 }
 

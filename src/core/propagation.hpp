@@ -15,26 +15,27 @@
 //     hop budget) implementing step 5's shared-randomness sequence or the
 //     background's round-robin,
 //
-// and Compete instantiates it twice, interleaving their steps 1:1. The
-// same engine runs a standalone ICP window (run_icp_window below): one
-// region, one schedule, three passes. So the pipelined blocking rule lives
-// only in wave_round and the Algorithm 4 stream only in background_round.
+// and Compete instantiates it twice, interleaving them 1:1. The same
+// engine runs a standalone ICP window (run_icp_window below): one region,
+// one schedule, three passes. So the pipelined blocking rule lives only in
+// wave_round and the Algorithm 4 stream only in background_round.
 //
-// Each engine step runs one round of the scheduled wave (Algorithm 3's
-// current pass, per-region desynchronised) and — when enabled — one round
-// of the engine's own Decay background stream (Algorithm 4), so one step
-// consumes 2 physical rounds, 4 per Compete step across both engines,
-// matching the paper's alternating construction.
+// The engine's unit is one physical round. Its rounds alternate between
+// the scheduled wave (Algorithm 3's current pass, per-region
+// desynchronised) and — when enabled — the engine's own Decay background
+// stream (Algorithm 4), matching the paper's alternating construction.
 //
-// A step costs what the paper's processes do, not O(n):
+// A round costs what the paper's processes do, not O(n):
 //   * the wave visits this round's transmitting depth layer of each
 //     region; only transmitters with a neighbour in another fine cluster
 //     scan their neighbourhood for listeners they block;
 //   * the Decay stream keeps the reached nodes in per-fine-cluster lists,
 //     tosses one coordinated coin per cluster holding reached nodes, and
 //     draws node coins only for the members of clusters whose coin passed.
-// Pass boundaries reset a region's members, so every step also pays for
-// the regions whose pass ends in it.
+// Pass boundaries reset a region's members, so every wave round also pays
+// for the regions whose pass ends in it. Every node learns through
+// Knowledge::learn, which keeps the count of nodes holding the winner, so
+// a caller tests completion in O(1) after any round.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +59,24 @@ struct WindowChoice {
   std::uint32_t pass_hops = 1;    // the curtail ell
 };
 
+/// What the nodes know, shared by every engine that runs over it: best[v]
+/// is the highest message v holds (radio::kNoPayload when none). `known`
+/// counts the nodes holding `winner`. Messages only rise and the winner is
+/// the highest, so learn() counts each node once, when it reaches the
+/// winner; with no winner set (kNoPayload) nothing is counted.
+struct Knowledge {
+  std::vector<Payload> best;
+  Payload winner = radio::kNoPayload;
+  NodeId known = 0;
+
+  /// v hears p and keeps the higher of p and what it held.
+  void learn(NodeId v, Payload p) {
+    if (best[v] != radio::kNoPayload && p <= best[v]) return;
+    best[v] = p;
+    if (p == winner) ++known;
+  }
+};
+
 struct PropagationStats {
   std::uint64_t main_rounds = 0;       // scheduled-wave rounds
   std::uint64_t background_rounds = 0; // Algorithm 4 rounds
@@ -68,6 +87,7 @@ struct PropagationStats {
   std::uint64_t rescued = 0;           // risky nodes re-attached by decay
   std::uint64_t bg_coins = 0;          // coordinated cluster coins drawn
   std::uint64_t bg_candidates = 0;     // node coins drawn in passing clusters
+  bool operator==(const PropagationStats&) const = default;
 };
 
 class PropagationEngine {
@@ -87,10 +107,10 @@ class PropagationEngine {
 
   explicit PropagationEngine(const Config& cfg);
 
-  /// Advances the engine by one step over the shared knowledge vector
-  /// `best` (node -> highest message known, radio::kNoPayload if none).
-  /// Returns physical rounds consumed (1, or 2 with the background stream).
-  std::uint32_t step(std::vector<Payload>& best, util::Rng& rng);
+  /// Runs the engine's next physical round over `know`: a wave round, or
+  /// — every other round when the background stream is on — a Decay round
+  /// drawing its node coins from `rng`.
+  void round(Knowledge& know, util::Rng& rng);
 
   const PropagationStats& stats() const { return stats_; }
 
@@ -146,6 +166,7 @@ class PropagationEngine {
   std::vector<Payload> upval_;
   std::vector<Payload> snap_;  // centre snapshot (entry used at centres)
   bool started_ = false;
+  bool decay_next_ = false;  // the next round is the Decay stream's
 
   // ---- reached nodes by fine cluster (Decay background stream) ------------
   // head_[c] starts an intrusive list (through next_) of the reached nodes
@@ -180,12 +201,12 @@ class PropagationEngine {
   // ---- helpers ------------------------------------------------------------
   void build_region_structures();
   void build_sched_index(std::size_t s);
-  void start_window(std::uint32_t region, std::vector<Payload>& best);
+  void start_window(std::uint32_t region, const std::vector<Payload>& best);
   void begin_phase(std::uint32_t region, Phase phase,
-                   std::vector<Payload>& best);
-  void finish_inward(std::uint32_t region, std::vector<Payload>& best);
-  void wave_round(std::vector<Payload>& best);
-  void background_round(std::vector<Payload>& best, util::Rng& rng);
+                   const std::vector<Payload>& best);
+  void finish_inward(std::uint32_t region, Knowledge& know);
+  void wave_round(Knowledge& know);
+  void background_round(Knowledge& know, util::Rng& rng);
   void mark_reached(NodeId v, NodeId center);
   void reset_reached(NodeId v, bool keep_center);
   void link(NodeId v, NodeId center);
@@ -213,7 +234,7 @@ struct IcpParams {
 /// radio::kNoPayload when none): outward wave, inward convergecast, outward
 /// wave, each curtailed at min(pass_hops, sched.max_depth()) hops. It is a
 /// PropagationEngine over the one-region partition with `sched` as its
-/// only schedule, stepped for exactly one window. Physical rounds are
+/// only schedule, run for exactly one window. Physical rounds are
 /// main_rounds + background_rounds.
 PropagationStats run_icp_window(const graph::Graph& g,
                                 const schedule::TreeSchedule& sched,

@@ -16,22 +16,16 @@
 namespace radiocast::core {
 namespace {
 
-CompeteParams fast_params() {
-  CompeteParams p;
-  p.check_interval = 8;
-  return p;
-}
-
 TEST(Compete, EmptySourceSetIsVacuousSuccess) {
   const graph::Graph g = graph::path(5);
-  const auto r = compete(g, 4, {}, fast_params(), 1);
+  const auto r = compete(g, 4, {}, {}, 1);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.rounds, 0u);
 }
 
 TEST(Compete, SingleNodeGraph) {
   const graph::Graph g = graph::path(1);
-  const auto r = compete(g, 1, {{0, 42}}, fast_params(), 1);
+  const auto r = compete(g, 1, {{0, 42}}, {}, 1);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.winner, 42u);
   EXPECT_EQ(r.informed, 1u);
@@ -39,7 +33,7 @@ TEST(Compete, SingleNodeGraph) {
 
 TEST(Compete, TwoNodes) {
   const graph::Graph g = graph::path(2);
-  const auto r = compete(g, 1, {{0, 7}}, fast_params(), 2);
+  const auto r = compete(g, 1, {{0, 7}}, {}, 2);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.best[1], 7u);
 }
@@ -47,7 +41,7 @@ TEST(Compete, TwoNodes) {
 TEST(Compete, HighestOfManySourcesWins) {
   const graph::Graph g = graph::grid(12, 12);
   std::vector<CompeteSource> sources{{0, 10}, {77, 99}, {143, 50}};
-  const auto r = compete(g, 22, sources, fast_params(), 3);
+  const auto r = compete(g, 22, sources, {}, 3);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.winner, 99u);
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
@@ -58,14 +52,14 @@ TEST(Compete, HighestOfManySourcesWins) {
 TEST(Compete, DuplicateSourceValuesAllowed) {
   const graph::Graph g = graph::cycle(20);
   std::vector<CompeteSource> sources{{0, 5}, {10, 5}};
-  const auto r = compete(g, 10, sources, fast_params(), 4);
+  const auto r = compete(g, 10, sources, {}, 4);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.winner, 5u);
 }
 
 TEST(Compete, SourceOutOfRangeThrows) {
   const graph::Graph g = graph::path(3);
-  EXPECT_THROW(compete(g, 2, {{5, 1}}, fast_params(), 1),
+  EXPECT_THROW(compete(g, 2, {{5, 1}}, {}, 1),
                std::out_of_range);
 }
 
@@ -75,15 +69,15 @@ TEST(Compete, AllNodesAreSources) {
   for (graph::NodeId v = 0; v < g.node_count(); ++v) {
     sources.push_back({v, static_cast<radio::Payload>(v)});
   }
-  const auto r = compete(g, 14, sources, fast_params(), 5);
+  const auto r = compete(g, 14, sources, {}, 5);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.winner, 63u);
 }
 
 TEST(Compete, DeterministicGivenSeed) {
   const graph::Graph g = graph::path_of_cliques(10, 6);
-  const auto a = compete(g, 28, {{3, 9}}, fast_params(), 77);
-  const auto b = compete(g, 28, {{3, 9}}, fast_params(), 77);
+  const auto a = compete(g, 28, {{3, 9}}, {}, 77);
+  const auto b = compete(g, 28, {{3, 9}}, {}, 77);
   EXPECT_EQ(a.rounds, b.rounds);
   EXPECT_EQ(a.best, b.best);
 }
@@ -91,20 +85,20 @@ TEST(Compete, DeterministicGivenSeed) {
 TEST(Compete, DifferentSeedsBothSucceed) {
   const graph::Graph g = graph::path_of_cliques(10, 6);
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
-    EXPECT_TRUE(compete(g, 28, {{0, 1}}, fast_params(), seed).success)
+    EXPECT_TRUE(compete(g, 28, {{0, 1}}, {}, seed).success)
         << seed;
   }
 }
 
 TEST(Compete, ChargedPrecomputeIsPositive) {
   const graph::Graph g = graph::grid(10, 10);
-  const auto r = compete(g, 18, {{0, 1}}, fast_params(), 6);
+  const auto r = compete(g, 18, {{0, 1}}, {}, 6);
   EXPECT_GT(r.precompute_rounds_charged, 0u);
 }
 
 TEST(Compete, StatsReflectActivity) {
   const graph::Graph g = graph::path_of_cliques(15, 6);
-  const auto r = compete(g, 44, {{0, 1}}, fast_params(), 7);
+  const auto r = compete(g, 44, {{0, 1}}, {}, 7);
   ASSERT_TRUE(r.success);
   EXPECT_GT(r.main_stats.windows_started, 0u);
   EXPECT_GT(r.main_stats.wave_deliveries, 0u);
@@ -117,7 +111,7 @@ TEST(Compete, StatsReflectActivity) {
 // main waves alone also make progress (just not provably fast progress).
 TEST(Compete, AblationNoBackgroundProcessStillCompletes) {
   const graph::Graph g = graph::grid(10, 10);
-  CompeteParams p = fast_params();
+  CompeteParams p;
   p.enable_background = false;
   const auto r = compete(g, 18, {{0, 8}}, p, 8);
   EXPECT_TRUE(r.success);
@@ -125,7 +119,7 @@ TEST(Compete, AblationNoBackgroundProcessStillCompletes) {
 
 TEST(Compete, AblationNoIcpBackgroundStillCompletesOnGrid) {
   const graph::Graph g = graph::grid(10, 10);
-  CompeteParams p = fast_params();
+  CompeteParams p;
   p.enable_icp_background = false;
   const auto r = compete(g, 18, {{0, 8}}, p, 9);
   EXPECT_TRUE(r.success);
@@ -133,7 +127,7 @@ TEST(Compete, AblationNoIcpBackgroundStillCompletesOnGrid) {
 
 TEST(Compete, AblationFixedBetaStillCompletes) {
   const graph::Graph g = graph::grid(10, 10);
-  CompeteParams p = fast_params();
+  CompeteParams p;
   p.randomize_beta = false;
   const auto r = compete(g, 18, {{0, 8}}, p, 10);
   EXPECT_TRUE(r.success);
@@ -141,7 +135,7 @@ TEST(Compete, AblationFixedBetaStillCompletes) {
 
 TEST(Compete, HwCurtailStillCompletes) {
   const graph::Graph g = graph::grid(10, 10);
-  CompeteParams p = fast_params();
+  CompeteParams p;
   p.hw_curtail = true;
   const auto r = compete(g, 18, {{0, 8}}, p, 11);
   EXPECT_TRUE(r.success);
@@ -149,7 +143,7 @@ TEST(Compete, HwCurtailStillCompletes) {
 
 TEST(Compete, ColoredScheduleModeCompletes) {
   const graph::Graph g = graph::grid(8, 8);
-  CompeteParams p = fast_params();
+  CompeteParams p;
   p.mode = schedule::ScheduleMode::kColored;
   const auto r = compete(g, 14, {{0, 8}}, p, 12);
   EXPECT_TRUE(r.success);
@@ -157,11 +151,68 @@ TEST(Compete, ColoredScheduleModeCompletes) {
 
 TEST(Compete, RoundBudgetRespected) {
   const graph::Graph g = graph::path(200);
-  CompeteParams p = fast_params();
-  p.round_budget_factor = 0.0001;  // absurdly small: must stop early
+  CompeteParams p;
+  p.max_rounds_abs = 101;  // far too few, and no multiple of a cycle
   const auto r = compete(g, 199, {{0, 1}}, p, 13);
   EXPECT_FALSE(r.success);
-  EXPECT_LT(r.rounds, 1000u);
+  EXPECT_EQ(r.rounds, 101u);
+}
+
+void expect_same_outcome(const CompeteResult& a, const CompeteResult& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.success, b.success) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.informed, b.informed) << what;
+  EXPECT_EQ(a.winner, b.winner) << what;
+  EXPECT_EQ(a.best, b.best) << what;
+  EXPECT_EQ(a.main_stats, b.main_stats) << what;
+  EXPECT_EQ(a.background_stats, b.background_stats) << what;
+}
+
+// A run reports the round in which the last node learnt the winner, not a
+// later one: a budget of exactly that many rounds reproduces the run, and
+// one round less makes it fail.
+TEST(Compete, ReportsItsExactFinishingRound) {
+  const sim::Instance instances[] = {
+      sim::make_rgg_instance(3000, 0.04, std::uint64_t{11}),
+      sim::make_cliquepath_instance(600, 40),
+  };
+  for (const sim::Instance& inst : instances) {
+    const graph::NodeId n = inst.g.node_count();
+    const std::vector<CompeteSource> sources{{0, 7}, {n / 2, 11}};
+    for (int v = 0; v < 3; ++v) {
+      CompeteParams p;
+      if (v == 1) p.mode = schedule::ScheduleMode::kColored;
+      if (v == 2) p.hw_curtail = true;
+      const std::string what =
+          inst.name + " variant " + std::to_string(v);
+      const auto r = compete(inst.g, inst.diameter, sources, p, 5);
+      ASSERT_TRUE(r.success) << what;
+      ASSERT_GT(r.rounds, 0u) << what;
+      p.max_rounds_abs = r.rounds;
+      expect_same_outcome(
+          r, compete(inst.g, inst.diameter, sources, p, 5), what);
+      p.max_rounds_abs = r.rounds - 1;
+      const auto cut = compete(inst.g, inst.diameter, sources, p, 5);
+      EXPECT_FALSE(cut.success) << what;
+      EXPECT_EQ(cut.rounds, r.rounds - 1) << what;
+      EXPECT_LT(cut.informed, n) << what;
+    }
+  }
+  const sim::Instance& inst = instances[0];
+  LeaderElectionParams lp;
+  const auto le = elect_leader(inst.g, inst.diameter, lp, 5);
+  ASSERT_TRUE(le.success);
+  lp.compete.max_rounds_abs = le.rounds;
+  const auto same = elect_leader(inst.g, inst.diameter, lp, 5);
+  EXPECT_TRUE(same.success);
+  EXPECT_EQ(same.rounds, le.rounds);
+  EXPECT_EQ(same.leader, le.leader);
+  EXPECT_EQ(same.agreeing, le.agreeing);
+  lp.compete.max_rounds_abs = le.rounds - 1;
+  const auto cut = elect_leader(inst.g, inst.diameter, lp, 5);
+  EXPECT_FALSE(cut.success);
+  EXPECT_EQ(cut.rounds, le.rounds - 1);
 }
 
 // Families x seeds sweep: Theorem 4.1 correctness everywhere.
@@ -187,7 +238,7 @@ TEST_P(CompeteFamilies, AllInformed) {
   const auto d = graph::diameter_double_sweep(g);
   std::vector<CompeteSource> sources{
       {0, 3}, {static_cast<graph::NodeId>(g.node_count() / 2), 11}};
-  const auto r = compete(g, std::max(2u, d), sources, fast_params(), seed);
+  const auto r = compete(g, std::max(2u, d), sources, {}, seed);
   EXPECT_TRUE(r.success) << "family " << fam << " seed " << seed << ": "
                          << r.informed << "/" << g.node_count();
   EXPECT_EQ(r.winner, 11u);
@@ -240,14 +291,14 @@ TEST(Compete, GoldenOutcomes) {
   const char* variants[] = {"pipelined", "colored", "no-icp", "no-bg"};
   // expected[instance][variant], each over seeds 1..4.
   const std::uint64_t expected[4][4] = {
-      {0xCD213E0EFBCD028FULL, 0x91EFAACFAE0755A3ULL,
-       0x0D66696CC9A635B4ULL, 0xE697E70A00FE5CC0ULL},
-      {0x061306B51E445212ULL, 0xB31C7C78938AB86BULL,
-       0x9DD387C1B1A8A094ULL, 0x2D8B8CD65792D838ULL},
-      {0x3DF7C89806FADD2CULL, 0x0A31C903AF84A206ULL,
-       0xDD79842299EE29C2ULL, 0xAB9D02D803F39E10ULL},
-      {0xD7FFF929C9CC1D51ULL, 0x326FD8CF8F088A74ULL,
-       0xF3BD6988D9417843ULL, 0x92A2196D9A202BFCULL},
+      {0xD066DEAC8E5E6651ULL, 0x9FD111AA6C28C719ULL,
+       0x44A6FD8044D3DB32ULL, 0x41A189F65BBD5625ULL},
+      {0x0E4E285D366A3544ULL, 0x9C27AA5307B97ED2ULL,
+       0x9DB2FB3678BB42A8ULL, 0xF0C99824356706C3ULL},
+      {0x75ABCB741C3D7591ULL, 0x7764E88B98816961ULL,
+       0xED2B2079A8246E5CULL, 0x1AE333877009AFF4ULL},
+      {0xF553BCBF70CF42A9ULL, 0xBEC83BE99B30342AULL,
+       0x50C4AA14F8CF1E39ULL, 0x769A2DE2830C8433ULL},
   };
   for (int i = 0; i < 4; ++i) {
     const sim::Instance& inst = instances[i];
@@ -285,7 +336,7 @@ TEST(Compete, GoldenOutcomes) {
     h.add(r.ids_unique ? 1 : 0);
     h.add(r.agreeing);
   }
-  EXPECT_EQ(h.h, 0xF46ED96492D1C69AULL)
+  EXPECT_EQ(h.h, 0x5B201FBF93F9EE4FULL)
       << "leader elections: got " << h.literal();
 }
 

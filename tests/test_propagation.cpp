@@ -9,6 +9,7 @@
 #include "cluster/exponential_shifts.hpp"
 #include "graph/generators.hpp"
 #include "schedule/bfs_schedule.hpp"
+#include "sim/instances.hpp"
 
 namespace radiocast::core {
 
@@ -67,62 +68,75 @@ struct PathFixture {
   }
 };
 
+/// Knowledge of `n` nodes with nothing learnt and no winner to count.
+Knowledge nothing_known(graph::NodeId n) {
+  return Knowledge{std::vector<Payload>(n, kNoPayload)};
+}
+
 TEST(PropagationEngine, OutwardWaveCarriesCenterValue) {
   PathFixture fx(12);
   PropagationEngine eng(fx.config(/*hops=*/5, /*background=*/false));
-  std::vector<Payload> best(12, kNoPayload);
-  best[0] = 42;
+  Knowledge know = nothing_known(12);
+  know.best[0] = 42;
   util::Rng rng(1);
   // One pass of 5 rounds informs nodes 1..5.
-  for (int i = 0; i < 5; ++i) eng.step(best, rng);
-  for (graph::NodeId v = 0; v <= 5; ++v) EXPECT_EQ(best[v], 42u) << v;
-  EXPECT_EQ(best[6], kNoPayload);
+  for (int i = 0; i < 5; ++i) eng.round(know, rng);
+  for (graph::NodeId v = 0; v <= 5; ++v) EXPECT_EQ(know.best[v], 42u) << v;
+  EXPECT_EQ(know.best[6], kNoPayload);
 }
 
 TEST(PropagationEngine, InwardPassLiftsValueToCenter) {
   PathFixture fx(12);
   PropagationEngine eng(fx.config(5, false));
-  std::vector<Payload> best(12, kNoPayload);
-  best[0] = 10;
-  best[4] = 77;  // within the 5-hop budget
+  Knowledge know = nothing_known(12);
+  know.best[0] = 10;
+  know.best[4] = 77;  // within the 5-hop budget
   util::Rng rng(2);
   // Full window = 3 passes x 5 rounds.
-  for (int i = 0; i < 15; ++i) eng.step(best, rng);
-  EXPECT_EQ(best[0], 77u);
+  for (int i = 0; i < 15; ++i) eng.round(know, rng);
+  EXPECT_EQ(know.best[0], 77u);
   // ... and redistributed by pass 3.
-  for (graph::NodeId v = 0; v <= 5; ++v) EXPECT_EQ(best[v], 77u) << v;
+  for (graph::NodeId v = 0; v <= 5; ++v) EXPECT_EQ(know.best[v], 77u) << v;
 }
 
 TEST(PropagationEngine, CurtailLimitsReach) {
   PathFixture fx(20);
   PropagationEngine eng(fx.config(4, false));
-  std::vector<Payload> best(20, kNoPayload);
-  best[10] = 99;  // deeper than the curtail: cannot reach the centre
+  Knowledge know = nothing_known(20);
+  know.best[10] = 99;  // deeper than the curtail: cannot reach the centre
   util::Rng rng(3);
-  for (int i = 0; i < 12; ++i) eng.step(best, rng);  // one full window
-  EXPECT_EQ(best[0], kNoPayload);
+  for (int i = 0; i < 12; ++i) eng.round(know, rng);  // one full window
+  EXPECT_EQ(know.best[0], kNoPayload);
 }
 
-TEST(PropagationEngine, StepCountsRoundsForBothStreams) {
+TEST(PropagationEngine, RoundsAlternateBetweenStreams) {
   PathFixture fx(8);
   PropagationEngine with_bg(fx.config(3, true));
   PropagationEngine without(fx.config(3, false));
-  std::vector<Payload> a(8, kNoPayload), b(8, kNoPayload);
+  Knowledge a = nothing_known(8), b = nothing_known(8);
   util::Rng rng(4);
-  EXPECT_EQ(with_bg.step(a, rng), 2u);
-  EXPECT_EQ(without.step(b, rng), 1u);
+  // With the background stream the rounds go wave, Decay, wave, ...
+  with_bg.round(a, rng);
+  EXPECT_EQ(with_bg.stats().main_rounds, 1u);
+  EXPECT_EQ(with_bg.stats().background_rounds, 0u);
+  with_bg.round(a, rng);
+  EXPECT_EQ(with_bg.stats().main_rounds, 1u);
   EXPECT_EQ(with_bg.stats().background_rounds, 1u);
+  // ... without it every round is a wave round.
+  without.round(b, rng);
+  without.round(b, rng);
+  EXPECT_EQ(without.stats().main_rounds, 2u);
   EXPECT_EQ(without.stats().background_rounds, 0u);
 }
 
 TEST(PropagationEngine, WindowsAdvanceAndRestart) {
   PathFixture fx(8);
   PropagationEngine eng(fx.config(2, false));
-  std::vector<Payload> best(8, kNoPayload);
-  best[0] = 5;
+  Knowledge know = nothing_known(8);
+  know.best[0] = 5;
   util::Rng rng(5);
   // 3 windows of 3 passes x 2 rounds.
-  for (int i = 0; i < 18; ++i) eng.step(best, rng);
+  for (int i = 0; i < 18; ++i) eng.round(know, rng);
   EXPECT_EQ(eng.stats().windows_started, 1u + 3u);  // initial + 3 restarts
 }
 
@@ -135,14 +149,14 @@ TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
   // window's inward pass cannot regress). This asserts monotone coverage.
   PathFixture fx(10);
   PropagationEngine eng(fx.config(3, false));
-  std::vector<Payload> best(10, kNoPayload);
-  best[0] = 5;
+  Knowledge know = nothing_known(10);
+  know.best[0] = 5;
   util::Rng rng(6);
   std::size_t covered_prev = 0;
   for (int w = 0; w < 6; ++w) {
-    for (int i = 0; i < 9; ++i) eng.step(best, rng);
+    for (int i = 0; i < 9; ++i) eng.round(know, rng);
     std::size_t covered = 0;
-    for (auto b : best) covered += b != kNoPayload;
+    for (auto b : know.best) covered += b != kNoPayload;
     EXPECT_GE(covered, covered_prev);
     covered_prev = covered;
   }
@@ -153,18 +167,19 @@ TEST(PropagationEngine, RepeatedWindowsEventuallyCoverTheCurtailChain) {
 TEST(PropagationEngine, BackgroundWorkCounters) {
   PathFixture fx(12);
   PropagationEngine eng(fx.config(/*hops=*/3, /*background=*/true));
-  std::vector<Payload> best(12, kNoPayload);
+  Knowledge know = nothing_known(12);
   util::Rng rng(8);
   // Nothing known, nothing reached: the Decay stream draws no coin at all.
-  eng.step(best, rng);
+  eng.round(know, rng);
+  eng.round(know, rng);
   EXPECT_EQ(eng.stats().bg_coins, 0u);
   EXPECT_EQ(eng.stats().bg_candidates, 0u);
   // The centre learns a value; the window's third pass (which starts
-  // after step 6's wave round) re-seeds the wave there. From then on the
-  // single cluster tosses exactly one coordinated coin per round.
-  best[0] = 42;
+  // after the sixth wave round) re-seeds the wave there. From then on the
+  // single cluster tosses exactly one coordinated coin per Decay round.
+  know.best[0] = 42;
   util::Rng reference = rng;
-  for (int i = 1; i < 200; ++i) eng.step(best, rng);
+  for (int i = 2; i < 400; ++i) eng.round(know, rng);
   EXPECT_EQ(eng.stats().background_rounds, 200u);
   EXPECT_EQ(eng.stats().bg_coins, 195u);
   EXPECT_EQ(eng.stats().bg_candidates, 103u);
@@ -201,16 +216,16 @@ TEST(PropagationEngine, SequenceNumbersRenumberWithoutChangingOutcomes) {
   PropagationEngine wrapping(cfg);
   PropagationEngineProbe::set_next_seq(
       wrapping, std::numeric_limits<std::uint32_t>::max() - 40);
-  std::vector<Payload> a(n, kNoPayload);
-  a[0] = 3;
-  a[77] = 9;
-  std::vector<Payload> b = a;
+  Knowledge a = nothing_known(n);
+  a.best[0] = 3;
+  a.best[77] = 9;
+  Knowledge b = a;
   util::Rng rng_a(12), rng_b(12);
-  for (int i = 0; i < 400; ++i) {
-    fresh.step(a, rng_a);
-    wrapping.step(b, rng_b);
+  for (int i = 0; i < 800; ++i) {
+    fresh.round(a, rng_a);
+    wrapping.round(b, rng_b);
   }
-  EXPECT_EQ(a, b);
+  EXPECT_EQ(a.best, b.best);
   const PropagationStats& sa = fresh.stats();
   const PropagationStats& sb = wrapping.stats();
   EXPECT_GT(sa.bg_candidates, 0u);
@@ -221,6 +236,70 @@ TEST(PropagationEngine, SequenceNumbersRenumberWithoutChangingOutcomes) {
   EXPECT_EQ(sa.wave_deliveries, sb.wave_deliveries);
   EXPECT_EQ(sa.wave_blocked, sb.wave_blocked);
   EXPECT_EQ(rng_a(), rng_b());
+}
+
+TEST(PropagationEngine, KnownCountMatchesAFullRecountEveryRound) {
+  // Compete's two engines over one Knowledge, stepped round by round in
+  // its order (main wave, main Decay, background wave, background Decay):
+  // after every round the O(1) count must equal a recount of the nodes
+  // holding the winner. Both schedule modes, so every learn() site runs.
+  const sim::Instance instances[] = {
+      sim::make_rgg_instance(400, 0.1, std::uint64_t{3}),
+      sim::make_cliquepath_instance(240, 24),
+  };
+  for (const sim::Instance& inst : instances) {
+    const graph::Graph& g = inst.g;
+    const graph::NodeId n = g.node_count();
+    for (const auto mode : {schedule::ScheduleMode::kPipelined,
+                            schedule::ScheduleMode::kColored}) {
+      util::Rng rng(21);
+      const cluster::Partition coarse = cluster::partition(g, 0.1, rng);
+      const cluster::Partition fine =
+          cluster::partition_regions(g, 0.4, coarse.center, rng);
+      const cluster::Partition whole = cluster::trivial_partition(g);
+      const cluster::Partition bg_fine = cluster::partition(g, 0.3, rng);
+      const schedule::TreeSchedule fine_sched(g, fine, mode);
+      const schedule::TreeSchedule bg_sched(g, bg_fine, mode);
+      auto config = [](const graph::Graph& graph,
+                       const cluster::Partition& regions,
+                       const schedule::TreeSchedule& sched,
+                       std::uint64_t seed) {
+        PropagationEngine::Config cfg;
+        cfg.graph = &graph;
+        cfg.regions = &regions;
+        cfg.scheds = {&sched};
+        cfg.choose = [](graph::NodeId, std::uint64_t) {
+          return WindowChoice{0, 6};
+        };
+        cfg.seed = seed;
+        return cfg;
+      };
+      PropagationEngine main_engine(config(g, coarse, fine_sched, 1));
+      PropagationEngine bg_engine(config(g, whole, bg_sched, 2));
+
+      Knowledge know{std::vector<Payload>(n, kNoPayload), /*winner=*/11};
+      know.learn(0, 7);
+      know.learn(n / 2, 11);
+      know.learn(n / 2, 11);  // a duplicate source counts once
+      know.learn(n - 1, 11);
+      util::Rng main_rng(22), bg_rng(23);
+      PropagationEngine* order[] = {&main_engine, &main_engine, &bg_engine,
+                                    &bg_engine};
+      std::uint64_t rounds = 0;
+      for (; know.known < n && rounds < 20000; ++rounds) {
+        PropagationEngine& e = *order[rounds % 4];
+        e.round(know, &e == &main_engine ? main_rng : bg_rng);
+        graph::NodeId recount = 0;
+        for (const Payload b : know.best) recount += b == know.winner;
+        ASSERT_EQ(know.known, recount) << inst.name << " round " << rounds;
+      }
+      EXPECT_EQ(know.known, n) << inst.name << " after " << rounds;
+      EXPECT_GT(main_engine.stats().wave_deliveries, 0u);
+      EXPECT_GT(main_engine.stats().decay_deliveries +
+                    bg_engine.stats().decay_deliveries,
+                0u);
+    }
+  }
 }
 
 TEST(PropagationEngine, InvalidConfigThrows) {
@@ -240,9 +319,9 @@ TEST(PropagationEngine, ChoiceIndexOutOfRangeThrows) {
     return WindowChoice{5, 2};  // no such schedule
   };
   PropagationEngine eng(cfg);
-  std::vector<Payload> best(4, kNoPayload);
+  Knowledge know = nothing_known(4);
   util::Rng rng(7);
-  EXPECT_THROW(eng.step(best, rng), std::out_of_range);
+  EXPECT_THROW(eng.round(know, rng), std::out_of_range);
 }
 
 }  // namespace
