@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <span>
 #include <string>
 #include <vector>
@@ -41,10 +40,10 @@ inline exp::Accumulator race_broadcasts(sim::Runner& runner,
       core::cr_params(inst.g.node_count(), inst.diameter)};
   // One pool map: BGI and CR as one lane-batched relay each over all
   // seeds (first, as the longest tasks), then cd and hw one seed at a
-  // time (NaN = that algorithm failed).
+  // time.
   struct Task {
     std::vector<core::CompeteLaneResult> relay;
-    std::array<double, 2> cd_hw;
+    std::array<core::BroadcastResult, 2> cd_hw;
   };
   const auto tasks = runner.map(2 + reps, [&](int i) {
     Task task;
@@ -54,12 +53,10 @@ inline exp::Accumulator race_broadcasts(sim::Runner& runner,
       return task;
     }
     const std::uint64_t s = seeds[static_cast<std::size_t>(i - 2)];
-    task.cd_hw.fill(std::nan(""));
-    const auto rc = core::broadcast(inst.g, inst.diameter, 0, 7,
-                                    core::CompeteParams{}, s);
-    if (rc.success) task.cd_hw[0] = static_cast<double>(rc.rounds);
-    const auto rh = baselines::hw_broadcast(inst.g, inst.diameter, 0, 7, s);
-    if (rh.success) task.cd_hw[1] = static_cast<double>(rh.rounds);
+    task.cd_hw = {
+        core::broadcast(inst.g, inst.diameter, 0, 7, core::CompeteParams{},
+                        s),
+        baselines::hw_broadcast(inst.g, inst.diameter, 0, 7, s)};
     return task;
   });
 
@@ -82,9 +79,10 @@ inline exp::Accumulator race_broadcasts(sim::Runner& runner,
       }
     } else {
       for (int rep = 0; rep < reps; ++rep) {
-        const double m = tasks[static_cast<std::size_t>(2 + rep)].cd_hw[a];
-        const bool ok = !std::isnan(m);
-        acc.add(ok, ok ? m : 0.0);
+        const core::BroadcastResult& r =
+            tasks[static_cast<std::size_t>(2 + rep)].cd_hw[a];
+        acc.add(r.success, static_cast<double>(r.rounds),
+                static_cast<double>(r.deliveries));
       }
     }
     acc.set_theory_bound(bounds[a]);

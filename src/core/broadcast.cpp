@@ -12,6 +12,10 @@ BroadcastResult broadcast(const graph::Graph& g, std::uint32_t diameter,
   out.rounds = r.rounds;
   out.precompute_rounds_charged = r.precompute_rounds_charged;
   out.informed = r.informed;
+  out.deliveries = r.main_stats.wave_deliveries +
+                   r.main_stats.decay_deliveries +
+                   r.background_stats.wave_deliveries +
+                   r.background_stats.decay_deliveries;
   out.message = message;
   return out;
 }
