@@ -13,10 +13,7 @@ struct BroadcastResult {
   std::uint64_t rounds = 0;        // propagation rounds
   std::uint64_t precompute_rounds_charged = 0;
   std::uint32_t informed = 0;      // nodes informed at termination
-  /// Wave plus Decay deliveries of both engines. A wave delivery is a
-  /// scheduled hop (README "Fidelity decisions" 2), not a medium
-  /// reception.
-  std::uint64_t deliveries = 0;
+  std::uint64_t deliveries = 0;    // wave + Decay, both engines
   radio::Payload message = 0;
 };
 

@@ -30,8 +30,7 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
     result.best.assign(n, radio::kNoPayload);
     return result;
   }
-  // Seeding through learn() counts seeded nodes, not sources, so
-  // duplicate source nodes and duplicate winner values count right.
+  // learn() counts seeded nodes, not sources: duplicates count right.
   Knowledge know{std::vector<Payload>(n, radio::kNoPayload), result.winner};
   for (const auto& s : sources) know.learn(s.node, s.value);
 
@@ -132,22 +131,17 @@ CompeteResult compete(const graph::Graph& g, std::uint32_t diameter,
       params.max_rounds_abs,
       static_cast<std::uint64_t>(params.round_budget_factor * bound));
 
-  // One cycle of the 1:1 interleave: the main process's wave and Decay
-  // rounds, then the background process's. Completion is tested after
-  // every physical round.
+  // The 1:1 interleave, one physical round at a time: main wave, main
+  // Decay, background wave, background Decay; completion is tested after
+  // every round.
   util::Rng main_rng = rng.fork(1);
   util::Rng bg_rng = rng.fork(2);
-  const std::size_t per_process = params.enable_icp_background ? 2 : 1;
-  std::vector<std::pair<PropagationEngine*, util::Rng*>> cycle(
-      per_process, {&main_engine, &main_rng});
-  if (bg_engine) {
-    cycle.insert(cycle.end(), per_process, {bg_engine.get(), &bg_rng});
-  }
+  const std::uint64_t per_process = params.enable_icp_background ? 2 : 1;
+  const std::uint64_t cycle = bg_engine ? 2 * per_process : per_process;
   std::uint64_t rounds = 0;
-  while (know.known < n && rounds < budget) {
-    const auto [engine, engine_rng] = cycle[rounds % cycle.size()];
-    engine->round(know, *engine_rng);
-    ++rounds;
+  for (; know.known < n && rounds < budget; ++rounds) {
+    if (rounds % cycle < per_process) main_engine.round(know, main_rng);
+    else bg_engine->round(know, bg_rng);
   }
 
   result.rounds = rounds;

@@ -18,12 +18,11 @@
 // for risky boundary nodes.
 //
 // Round accounting: `rounds` counts the simulated propagation rounds across
-// all interleaved streams, up to the exact round in which the last node
-// learnt the winner (completion is tested after every round, in O(1)) or
-// the budget. The distributed precomputation (clusterings, schedules,
-// sequence dissemination — Algorithm 1 steps 1-6) is charged analytically
-// in `precompute_rounds_charged` (README "Fidelity decisions", charged
-// precompute).
+// all interleaved streams, to the exact round the last node learnt the
+// winner (or the budget). The distributed precomputation (clusterings,
+// schedules, sequence dissemination — Algorithm 1 steps 1-6) is charged
+// analytically in `precompute_rounds_charged` (README "Fidelity
+// decisions", charged precompute).
 #pragma once
 
 #include <cstdint>

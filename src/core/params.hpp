@@ -50,9 +50,8 @@ struct CompeteParams {
 
   /// Round budget: stop after round_budget_factor * (theory bound) rounds
   /// even if not everyone is informed (prevents pathological runs from
-  /// hanging benches); also an absolute cap. Completion is tested after
-  /// every physical round, so a run stops at the exact round it completes
-  /// in, and a run that does not stops at exactly min(budget, cap).
+  /// hanging benches); also an absolute cap. A run that does not complete
+  /// stops at exactly min(budget, cap) rounds.
   double round_budget_factor = 60.0;
   std::uint64_t max_rounds_abs = 200'000'000;
 };

@@ -1,7 +1,6 @@
 #include "core/propagation.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -265,14 +264,6 @@ void PropagationEngine::finish_inward(std::uint32_t region,
   }
 }
 
-std::uint32_t PropagationEngine::transmit_depth(const RegionState& st) const {
-  if (st.phase == Phase::kInward) {
-    // Convergecast: deepest curtailed layer first, depth 1 last.
-    return st.span - st.phase_round;
-  }
-  return st.phase_round;  // outward wave time == transmitting depth
-}
-
 void PropagationEngine::wave_round(Knowledge& know) {
   const std::vector<Payload>& best = know.best;
   if (++round_id_ == 0) {  // stamps wrapped: start them over
@@ -291,10 +282,12 @@ void PropagationEngine::wave_round(Knowledge& know) {
     const SchedIndex& idx = index_[st.choice.sched_index];
     const bool inward = st.phase == Phase::kInward;
     if (!colored) {
-      const std::uint32_t d = transmit_depth(st);
-      const std::uint32_t levels = idx.levels(r);
-      if (d == kNoDepth || d >= levels) continue;
-      if (inward && d == 0) continue;  // centres don't converge-cast up
+      // Outward wave time is the transmitting depth; the convergecast runs
+      // the deepest curtailed layer first and depth 1 (never the centres)
+      // last.
+      const std::uint32_t d = inward ? st.span - st.phase_round
+                                     : st.phase_round;
+      if (d >= idx.levels(r)) continue;
       const std::uint32_t base = idx.depth_start[r];
       const std::uint32_t start = idx.region_start[r] + idx.off[base + d];
       const std::uint32_t end = idx.region_start[r] + idx.off[base + d + 1];
@@ -508,9 +501,9 @@ void PropagationEngine::background_round(Knowledge& know, util::Rng& rng) {
 }
 
 void PropagationEngine::round(Knowledge& know, util::Rng& rng) {
-  if (decay_next_) {
+  // With the background stream on, a Decay round follows each wave round.
+  if (icp_background_ && stats_.background_rounds < stats_.main_rounds) {
     background_round(know, rng);
-    decay_next_ = false;
     return;
   }
   if (!started_) {
@@ -520,7 +513,6 @@ void PropagationEngine::round(Knowledge& know, util::Rng& rng) {
     }
   }
   wave_round(know);
-  decay_next_ = icp_background_;
 }
 
 PropagationStats run_icp_window(const graph::Graph& g,
@@ -546,8 +538,7 @@ PropagationStats run_icp_window(const graph::Graph& g,
   const std::uint32_t pass_len =
       sched.mode() == schedule::ScheduleMode::kColored ? span * sched.period()
                                                        : span;
-  // No winner: a window only moves messages, there is nothing to count.
-  Knowledge know{std::move(best)};
+  Knowledge know{std::move(best)};  // no winner: nothing to count
   const std::uint32_t streams = params.with_background ? 2 : 1;
   for (std::uint32_t r = 0; r < 3 * pass_len * streams; ++r) {
     engine.round(know, rng);

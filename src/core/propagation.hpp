@@ -33,9 +33,7 @@
 //     tosses one coordinated coin per cluster holding reached nodes, and
 //     draws node coins only for the members of clusters whose coin passed.
 // Pass boundaries reset a region's members, so every wave round also pays
-// for the regions whose pass ends in it. Every node learns through
-// Knowledge::learn, which keeps the count of nodes holding the winner, so
-// a caller tests completion in O(1) after any round.
+// for the regions whose pass ends in it.
 #pragma once
 
 #include <cstdint>
@@ -59,17 +57,14 @@ struct WindowChoice {
   std::uint32_t pass_hops = 1;    // the curtail ell
 };
 
-/// What the nodes know, shared by every engine that runs over it: best[v]
-/// is the highest message v holds (radio::kNoPayload when none). `known`
-/// counts the nodes holding `winner`. Messages only rise and the winner is
-/// the highest, so learn() counts each node once, when it reaches the
-/// winner; with no winner set (kNoPayload) nothing is counted.
+/// What the nodes know, shared by the engines of one run: best[v] is the
+/// highest message v holds (radio::kNoPayload: none). learn() is the one
+/// write; it counts in `known` the nodes reaching `winner`, the highest
+/// message, so once each and in O(1). No winner set: nothing is counted.
 struct Knowledge {
   std::vector<Payload> best;
   Payload winner = radio::kNoPayload;
   NodeId known = 0;
-
-  /// v hears p and keeps the higher of p and what it held.
   void learn(NodeId v, Payload p) {
     if (best[v] != radio::kNoPayload && p <= best[v]) return;
     best[v] = p;
@@ -108,8 +103,8 @@ class PropagationEngine {
   explicit PropagationEngine(const Config& cfg);
 
   /// Runs the engine's next physical round over `know`: a wave round, or
-  /// — every other round when the background stream is on — a Decay round
-  /// drawing its node coins from `rng`.
+  /// the Decay round (node coins from `rng`) that follows each wave round
+  /// when the background stream is on.
   void round(Knowledge& know, util::Rng& rng);
 
   const PropagationStats& stats() const { return stats_; }
@@ -166,7 +161,6 @@ class PropagationEngine {
   std::vector<Payload> upval_;
   std::vector<Payload> snap_;  // centre snapshot (entry used at centres)
   bool started_ = false;
-  bool decay_next_ = false;  // the next round is the Decay stream's
 
   // ---- reached nodes by fine cluster (Decay background stream) ------------
   // head_[c] starts an intrusive list (through next_) of the reached nodes
@@ -213,10 +207,6 @@ class PropagationEngine {
   std::uint32_t take_seq();
 
   friend struct PropagationEngineProbe;  // tests: sequence-number renumbering
-
-  /// Transmitting depth for a region this round, or kNoDepth when idle.
-  static constexpr std::uint32_t kNoDepth = static_cast<std::uint32_t>(-1);
-  std::uint32_t transmit_depth(const RegionState& st) const;
 };
 
 /// One standalone Intra-Cluster Propagation window (Algorithm 3, with the
